@@ -256,7 +256,9 @@ BENCHMARK(BM_EventQueueScheduleRunProfiled)->Arg(16)->Arg(256);
  * an O(log n) sift of 80-byte events per operation and the ladder
  * stays amortized O(1).  Same self-rescheduling workload as above at
  * fanouts 4096..65536; the acceptance target is >= 3x ladder over
- * heap at 4096 pending and 5-10x at 65536.
+ * heap at 4096 pending and 5-10x at 65536.  Fanouts 16 and 64 are
+ * the peak pending depths the real benches reach (<= 17 for two-node
+ * runs, 2N for N-node fleets), where the policy choice is decided.
  */
 void
 runHighPendingBench(benchmark::State &state, sim::QueueKind kind)
@@ -367,6 +369,8 @@ BM_EventQueueHighPendingHeap(benchmark::State &state)
     runHighPendingBench(state, sim::QueueKind::Heap);
 }
 BENCHMARK(BM_EventQueueHighPendingHeap)
+    ->Arg(16)
+    ->Arg(64)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536);
@@ -377,6 +381,8 @@ BM_EventQueueHighPendingLadder(benchmark::State &state)
     runHighPendingBench(state, sim::QueueKind::Ladder);
 }
 BENCHMARK(BM_EventQueueHighPendingLadder)
+    ->Arg(16)
+    ->Arg(64)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536);

@@ -377,6 +377,16 @@ experimentFromJson(const JsonValue &v)
             }
         }
     }
+    // A well-typed document can still name an impossible run; reject
+    // it here, every violation listed, rather than let
+    // runExperiment() abort on it.
+    const std::vector<std::string> errors = validate(exp);
+    if (!errors.empty()) {
+        std::string msg = "invalid experiment";
+        for (const std::string &e : errors)
+            msg += (&e == &errors.front() ? ": " : "; ") + e;
+        throw std::runtime_error(msg);
+    }
     return exp;
 }
 

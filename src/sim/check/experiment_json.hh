@@ -33,7 +33,9 @@ std::string experimentToJson(const Experiment &exp);
 
 /**
  * Rebuild an Experiment from a parsed JSON object.  Throws
- * std::runtime_error on unknown keys or ill-typed values.
+ * std::runtime_error on unknown keys or ill-typed values, and on a
+ * configuration validate() rejects (the message lists every
+ * violation).
  */
 Experiment experimentFromJson(const JsonValue &v);
 

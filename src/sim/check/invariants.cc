@@ -1092,9 +1092,9 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
     res.outcome = runExperiment(exp);
     res.violations = checkOutcome(exp, res.outcome);
 
-    // The topology ledger lives outside outcomeJson (so the N=2
-    // degenerate document stays byte-identical to the legacy two-node
-    // one); replica comparisons pin the composite so per-link and
+    // The topology ledger lives outside outcomeJson (so a user-set
+    // N=2 topology's document stays byte-identical to its shorthand
+    // run's); replica comparisons pin the composite so per-link and
     // per-router counters must replicate bit-exactly too.
     const auto fullJson = [](const Outcome &o) {
         return outcomeJson(o) + topoJson(o);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "sim/net/reliable.hh"
 #include "sim/node/costs.hh"
 #include "sim/node/processor.hh"
-#include "sim/node/token_ring.hh"
 #include "sim/topo/network.hh"
 
 namespace hsipc::sim
@@ -152,6 +152,30 @@ makePlan(const Experiment &exp)
     return p;
 }
 
+/**
+ * The one interconnect a run routes through: the user's topology
+ * as-is; otherwise the two-node medium the Experiment's shorthands
+ * name — a kind-0 mesh link of wireUs, or with useTokenRing one
+ * 2-station ring segment at ringMbps.  A one-node run gets no fabric
+ * (nodes == 0).
+ */
+topo::Topology
+canonicalTopology(const Experiment &exp)
+{
+    if (exp.topo.enabled())
+        return exp.topo;
+    // The other topology fields are inert while nodes == 0, so the
+    // shorthands start from the defaults, not from them.
+    topo::Topology t;
+    if (!exp.local || exp.mixedLocal > 0 || exp.mixedRemote > 0) {
+        t.nodes = 2;
+        t.kind = exp.useTokenRing ? 2 : 0;
+        t.linkLatencyUs = exp.wireUs; // read by kind 0 only
+        t.segMbps = exp.ringMbps;     // read by kind 2 only
+    }
+    return t;
+}
+
 /** The whole simulation. */
 class Sim
 {
@@ -213,14 +237,13 @@ class Sim
         if (engProf) {
             engProf->beginRun();
             eq.attachProfiler(engProf);
-            wireOrigin = engProf->origin("wire");
+            // The fabric's origin, interned ahead of the nodes' so
+            // every profile's track layout starts "sim", "wire".
+            engProf->origin("wire");
         }
 
-        const bool mixed =
-            exp.mixedLocal > 0 || exp.mixedRemote > 0;
         const bool coproc = exp.arch != Arch::I;
         const bool split = exp.arch == Arch::IV;
-        const bool two_nodes = mixed || !exp.local;
 
         costsLocal = ipcCosts(exp.arch, true);
         costsNonlocal = ipcCosts(exp.arch, false);
@@ -236,11 +259,8 @@ class Sim
             pathLog.enabled() ? &pathLog : nullptr;
         trace::Tracer *nodeTracer =
             tracer->enabled() ? tracer : nullptr;
-        // The topology layer supersedes the classic one/two-node
-        // layout; with it off the loop degenerates to exactly the
-        // historical "n0" (+ "n1") construction.
-        const bool topoOn = exp.topo.enabled();
-        nn = topoOn ? exp.topo.nodes : (two_nodes ? 2 : 1);
+        const topo::Topology topology = canonicalTopology(exp);
+        nn = topology.enabled() ? topology.nodes : 1;
         for (int i = 0; i < nn; ++i)
             nodes.push_back(std::make_unique<Node>(
                 eq, "n" + std::to_string(i), exp.hostsPerNode,
@@ -250,19 +270,13 @@ class Sim
         if (tracer->enabled())
             injector.attachTracer(tracer, &eq);
 
-        if (two_nodes && exp.useTokenRing) {
-            TokenRing::Config rc;
-            rc.stations = 2;
-            rc.megabitsPerSec = exp.ringMbps;
-            ring = std::make_unique<TokenRing>(eq, rc);
-        }
         // The interconnect fabric; rawWire() routes through it for
-        // every node pair.  Kind 2 models its own ring segments, so
-        // the legacy `ring` member stays null in topo mode (its
-        // Outcome fields belong to useTokenRing alone).
-        if (topoOn)
-            net = std::make_unique<topo::Network>(eq, exp.topo,
-                                                  tracer, engProf);
+        // every node pair.  Its "topo" trace track belongs to
+        // user-set topologies only, like every topology observable.
+        if (topology.enabled())
+            net = std::make_unique<topo::Network>(
+                eq, topology, exp.topo.enabled() ? tracer : nullptr,
+                engProf);
 
         // The reliability stack is strictly pay-for-use: it exists
         // only when the medium can fail (or when explicitly forced),
@@ -270,7 +284,7 @@ class Sim
         // produce bit-identical results.  One channel per ordered
         // node pair, row-major — for two nodes that is exactly the
         // historical (0 -> 1, 1 -> 0) pair.
-        if ((two_nodes || topoOn) &&
+        if (net &&
             (injector.faultPlan().active() || exp.reliableProtocol)) {
             ReliableChannel::Config rc;
             rc.windowSize = exp.retransmitWindow;
@@ -316,20 +330,13 @@ class Sim
                             rawWire(dst, src, bytes, std::move(cb),
                                     b);
                         };
-                    chans[chanIndex(src, dst)] =
-                        std::make_unique<ReliableChannel>(
-                            eq, rc, injector, h);
-                }
-            }
-            if (tracer->enabled()) {
-                for (int src = 0; src < nn; ++src) {
-                    for (int dst = 0; dst < nn; ++dst) {
-                        if (dst != src)
-                            chans[chanIndex(src, dst)]->attachTracer(
-                                tracer,
-                                "net.n" + std::to_string(src) +
-                                    "->n" + std::to_string(dst));
-                    }
+                    auto &c = chans[chanIndex(src, dst)];
+                    c = std::make_unique<ReliableChannel>(eq, rc,
+                                                          injector, h);
+                    if (tracer->enabled())
+                        c->attachTracer(tracer,
+                                        "net.n" + std::to_string(src) +
+                                            "->n" + std::to_string(dst));
                 }
             }
         }
@@ -338,29 +345,10 @@ class Sim
         for (const CrashWindow &w : exp.crashSchedule)
             recoveries.push_back(Recovery{w, -1});
 
-        // Lay out the conversations: classic mode pins all clients to
-        // node 0 (servers at node 1 when non-local); mixed mode
-        // interleaves local pairs and cross-node pairs over both
-        // nodes — the case the thesis' models could not represent
-        // (§6.6.3).
-        if (mixed) {
-            for (int i = 0; i < exp.mixedLocal; ++i)
-                addConversation(i % 2, i % 2);
-            for (int i = 0; i < exp.mixedRemote; ++i)
-                addConversation(i % 2, 1 - i % 2);
-        } else if (topoOn) {
-            // Topology placement decides where each conversation's
-            // endpoints live; a pure function of (topology, index,
-            // seed), so jobs=1/N replicas place identically.
-            for (int i = 0; i < exp.conversations; ++i) {
-                const auto [c, s] = topo::placeConversation(
-                    exp.topo, i, exp.seed);
-                addConversation(c, s);
-            }
-        } else {
-            for (int i = 0; i < exp.conversations; ++i)
-                addConversation(0, exp.local ? 0 : 1);
-        }
+        const int mixedCount = exp.mixedLocal + exp.mixedRemote;
+        const int count = mixedCount > 0 ? mixedCount : exp.conversations;
+        for (int i = 0; i < count; ++i)
+            addConversation();
 
         // Open-arrival mode repurposes the laid-out conversations as
         // server loops only; clients materialize per arrival.  Closed
@@ -537,9 +525,11 @@ class Sim
             out.resourceUtilization[name] =
                 static_cast<double>(busy - before) / window_ticks;
         }
-        if (ring) {
-            out.ringUtil = ring->utilization();
-            out.ringTokenWaitUs = ring->meanTokenWaitUs();
+        // The ring fields belong to the useTokenRing shorthand alone
+        // (a user-set kind-2 fabric reports through its ledger).
+        if (exp.useTokenRing && net) {
+            out.ringUtil = net->ring(0).utilization();
+            out.ringTokenWaitUs = net->ring(0).meanTokenWaitUs();
         }
         const double window_sec = ticksToUs(end - warm) / 1e6;
         out.localThroughputPerSec =
@@ -603,8 +593,6 @@ class Sim
         nt.corruptDiscarded = cs.corruptDiscarded;
         nt.acksSent = cs.acksSent;
         for (const auto &c : chans) {
-            if (!c)
-                continue;
             nt.windowPendingAtEnd += c->windowPending();
             nt.backlogAtEnd += c->backlogSize();
         }
@@ -619,8 +607,8 @@ class Sim
         // each channel's retransmissions to its forward route, then
         // snapshot every link and router (structural in-flight
         // included, so the flow identities hold exactly at the
-        // horizon).
-        if (net) {
+        // horizon).  Only a user-set topology reports one.
+        if (exp.topo.enabled()) {
             if (!chans.empty()) {
                 for (int src = 0; src < nn; ++src) {
                     for (int dst = 0; dst < nn; ++dst) {
@@ -781,13 +769,32 @@ class Sim
         }
     }
 
+    /**
+     * Lay out the next conversation — the one placement rule for the
+     * kickoff and open arrivals alike.  Mixed mode interleaves local
+     * pairs, then cross-node pairs, over both nodes (the case the
+     * thesis' models could not represent, §6.6.3, and no placement
+     * policy expresses); otherwise the topology's policy decides, a
+     * pure function of (topology, index, seed) — classic 0 -> 1 for
+     * the two-node shorthands.
+     */
     void
-    addConversation(int client_node, int server_node)
+    addConversation()
     {
+        const int i = static_cast<int>(convs.size());
         Conversation cv;
-        cv.clientNode = client_node;
-        cv.serverNode = server_node;
-        cv.host = static_cast<int>(convs.size()) % exp.hostsPerNode;
+        if (exp.mixedLocal > 0 || exp.mixedRemote > 0) {
+            const bool local = i < exp.mixedLocal;
+            const int r = local ? i : i - exp.mixedLocal;
+            cv.clientNode = r % 2;
+            cv.serverNode = local ? r % 2 : 1 - r % 2;
+        } else if (net) {
+            std::tie(cv.clientNode, cv.serverNode) =
+                topo::placeConversation(net->topology(), i, exp.seed);
+        } else {
+            cv.clientNode = cv.serverNode = 0;
+        }
+        cv.host = i % exp.hostsPerNode;
         convs.push_back(cv);
     }
 
@@ -875,8 +882,6 @@ class Sim
     {
         ReliableChannel::Stats sum;
         for (const auto &c : chans) {
-            if (!c)
-                continue;
             const ReliableChannel::Stats &s = c->stats();
             sum.accepted += s.accepted;
             sum.delivered += s.delivered;
@@ -1038,7 +1043,7 @@ class Sim
             tl.sample("net.windowPending", bin, pending);
             tl.sample("net.backlog", bin, backlog);
         }
-        if (net) {
+        if (exp.topo.enabled()) {
             tl.sample("topo.routerDepth", bin,
                       net->routerDepthSum());
             tl.sample("topo.linkInFlight", bin,
@@ -1167,40 +1172,14 @@ class Sim
     }
 
     /**
-     * The raw medium between two nodes: the topology fabric when one
-     * is instantiated, the token ring when enabled, a fixed wire
-     * delay otherwise.
+     * The raw medium between two nodes: the run's canonical fabric
+     * (see canonicalTopology), whatever the experiment named it by.
      */
     void
     rawWire(int from, int to, int bytes, EventQueue::Callback deliver,
             EventQueue::Batch *batch = nullptr)
     {
-        if (net) {
-            net->send(from, to, bytes, std::move(deliver), batch);
-        } else if (ring) {
-            ring->send(from, to, bytes, std::move(deliver), batch);
-        } else if (engProf) {
-            // The inter-node lookahead edge: whoever is transmitting
-            // now schedules a delivery wireUs in the future — the
-            // minimum positive delta on (src -> wire) edges is the
-            // lookahead a sharded engine could exploit between nodes.
-            const Tick delay = usToTicks(exp.wireUs);
-            engProf->edge(wireOrigin, delay);
-            auto wrapped = [this, inner = std::move(deliver)]() {
-                obs::EngineProfiler::Scope s(engProf, wireOrigin);
-                inner();
-            };
-            if (batch)
-                batch->scheduleAfter(delay, std::move(wrapped));
-            else
-                eq.scheduleAfter(delay, std::move(wrapped));
-        } else if (batch) {
-            batch->scheduleAfter(usToTicks(exp.wireUs),
-                                 std::move(deliver));
-        } else {
-            eq.scheduleAfter(usToTicks(exp.wireUs),
-                             std::move(deliver));
-        }
+        net->send(from, to, bytes, std::move(deliver), batch);
     }
 
     /**
@@ -1598,13 +1577,7 @@ class Sim
     onArrival()
     {
         const int conv = static_cast<int>(convs.size());
-        if (exp.topo.enabled()) {
-            const auto [c, s] =
-                topo::placeConversation(exp.topo, conv, exp.seed);
-            addConversation(c, s);
-        } else {
-            addConversation(0, exp.local ? 0 : 1);
-        }
+        addConversation();
         startRequest(conv);
         scheduleNextArrival();
     }
@@ -2157,14 +2130,12 @@ class Sim
     //! otherwise owned when exp.engineProfile is set.
     obs::EngineProfiler *engProf = nullptr;
     std::unique_ptr<obs::EngineProfiler> ownEngProf;
-    int wireOrigin = 0; //!< profiler origin id for wire deliveries
 
     std::vector<std::unique_ptr<Node>> nodes;
-    std::unique_ptr<TokenRing> ring;
-    //! The instantiated interconnect (null unless exp.topo enables
-    //! the topology layer).
+    //! The run's canonical interconnect (see canonicalTopology); null
+    //! for one-node runs.
     std::unique_ptr<topo::Network> net;
-    int nn = 1; //!< node count (1, 2, or exp.topo.nodes)
+    int nn = 1; //!< node count (1, or the fabric's)
     //! Reliable channels, one per ordered node pair in row-major
     //! order (empty when the medium is ideal); for two nodes that is
     //! the historical [0 -> 1, 1 -> 0] pair.
@@ -2182,6 +2153,106 @@ class Sim
 };
 
 } // namespace
+
+std::vector<std::string>
+validate(const Experiment &exp)
+{
+    std::vector<std::string> errors;
+    const auto need = [&errors](bool ok, const std::string &rule) {
+        if (!ok)
+            errors.push_back(rule);
+    };
+    const bool mixed = exp.mixedLocal > 0 || exp.mixedRemote > 0;
+    need(exp.conversations >= 1 || mixed,
+         "need at least one conversation (or a mixed workload)");
+    need(exp.mixedLocal >= 0 && exp.mixedRemote >= 0,
+         "mixedLocal and mixedRemote cannot be negative");
+    need(exp.hostsPerNode >= 1, "hostsPerNode must be at least 1");
+    need(exp.packetBytes > 0, "packetBytes must be positive");
+    need(exp.computeUs >= 0, "computeUs cannot be negative");
+    need(exp.wireUs >= 0, "wireUs cannot be negative");
+    need(exp.kernelBuffers >= 1, "need at least one kernel buffer per node");
+    need(exp.mpSpeedFactor > 0, "mpSpeedFactor must be positive");
+    need(exp.ringMbps > 0, "ringMbps must be positive");
+    need(exp.warmupUs >= 0, "warmupUs cannot be negative");
+    need(exp.measureUs > 0, "measureUs must be positive");
+    for (const auto &[name, rate] :
+         {std::pair{"lossRate", exp.lossRate},
+          std::pair{"corruptRate", exp.corruptRate},
+          std::pair{"duplicateRate", exp.duplicateRate},
+          std::pair{"reorderRate", exp.reorderRate}})
+        need(rate >= 0 && rate <= 1,
+             std::string(name) + ": fault rates are probabilities");
+    need(exp.reorderDelayUs >= 0, "reorderDelayUs cannot be negative");
+    need(exp.retransmitTimeoutUs > 0, "retransmitTimeoutUs must be positive");
+    need(exp.retransmitWindow >= 1, "retransmitWindow must be at least 1");
+    for (const CrashWindow &w : exp.crashSchedule) {
+        need(w.node >= 0 && w.node < std::max(2, exp.topo.nodes),
+             "crash node must name an existing node");
+        need(w.startUs >= 0 && w.endUs > w.startUs,
+             "crash window must be well-formed");
+    }
+    need(exp.arrivalMode >= 0 && exp.arrivalMode <= 2,
+         "arrivalMode is 0 (closed), 1 (Poisson), or 2 (bounded Pareto)");
+    if (exp.arrivalMode != 0) {
+        need(exp.arrivalRatePerSec > 0, "open arrivals need a positive rate");
+        need(!mixed,
+             "open arrivals are incompatible with the mixed workload");
+    }
+    if (exp.arrivalMode == 2) {
+        need(exp.paretoAlpha > 0 && exp.paretoAlpha != 1.0,
+             "bounded Pareto needs alpha > 0, alpha != 1");
+        need(exp.paretoBound > 1, "bounded Pareto needs an upper bound > 1");
+    }
+    need(exp.deadlineUs >= 0, "deadlineUs cannot be negative");
+    need(exp.retryBudget >= 0, "retryBudget cannot be negative");
+    need(exp.retryBudget <= 0 || (exp.retryBackoffUs > 0 &&
+                                  exp.retryBackoffMaxUs >= exp.retryBackoffUs),
+         "retry backoff needs 0 < base <= ceiling");
+    need(exp.svcQueueCap >= 0, "svcQueueCap cannot be negative");
+    need(exp.shedPolicy >= 0 && exp.shedPolicy <= 2,
+         "shedPolicy is 0 (reject-new), 1 (drop-oldest), or 2 "
+         "(deadline-aware)");
+    need(exp.rtoMaxUs > 0, "rtoMaxUs must be positive");
+    need(exp.timelineIntervalUs >= 0, "timelineIntervalUs cannot be negative");
+    need(exp.timelineIntervalUs <= 0 ||
+             (exp.warmupUs + exp.measureUs) / exp.timelineIntervalUs <= 4e6,
+         "timeline bin count is unreasonably large");
+    need(exp.timelineFile.empty() || exp.timelineIntervalUs > 0,
+         "timelineFile needs a positive timelineIntervalUs");
+    need(exp.traceSampleRate >= 0 && exp.traceSampleRate <= 1,
+         "traceSampleRate is a probability");
+    need(exp.engineProfileFile.empty() || exp.engineProfile,
+         "engineProfileFile needs engineProfile");
+    need(exp.queueKind >= 0 && exp.queueKind <= 1,
+         "queueKind is 0 (binary heap) or 1 (ladder queue)");
+    need(exp.expectedPendingEvents >= 0,
+         "expectedPendingEvents cannot be negative");
+    const topo::Topology &t = exp.topo;
+    need(t.nodes == 0 || (t.nodes >= 2 && t.nodes <= 1024),
+         "topology nodes is 0 (off) or in [2, 1024]");
+    if (!t.enabled())
+        return errors;
+    need(t.kind >= 0 && t.kind <= 2,
+         "topology kind is 0 (mesh), 1 (switch), or 2 (ring segments)");
+    need(t.placement >= 0 && t.placement <= 3,
+         "placement is 0 (classic), 1 (round-robin), 2 (locality), or 3 "
+         "(hot-spot)");
+    need(t.linkLatencyUs >= 0 && t.switchLatencyUs >= 0 && t.linkMbps >= 0,
+         "link parameters cannot be negative");
+    need(t.segments >= 1, "topology needs at least one ring segment");
+    need(t.segMbps > 0, "segment ring rate must be positive");
+    need(t.zipfSkew > 0, "hot-spot skew must be positive");
+    for (const topo::TopoLink &l : t.links)
+        need(l.a >= 0 && l.b >= 0 && l.a != l.b && l.latencyUs >= 0 &&
+                 l.mbps >= 0,
+             "link override must be well-formed");
+    need(!mixed,
+         "the topology layer is incompatible with the mixed workload");
+    need(!exp.useTokenRing, "topology kind 2 models ring segments; "
+                            "useTokenRing is the legacy two-node ring");
+    return errors;
+}
 
 Outcome
 runExperiment(const Experiment &exp)
@@ -2206,119 +2277,15 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     if (check::testHooks().beforeRun)
         check::testHooks().beforeRun(exp);
 
-    // Reject impossible configurations up front, with the offending
-    // condition in the message, instead of producing silent nonsense
+    // Reject impossible configurations up front, every violated
+    // rule in the message, instead of producing silent nonsense
     // downstream.
-    hsipc_assert(exp.conversations >= 1 || exp.mixedLocal > 0 ||
-                 exp.mixedRemote > 0);
-    hsipc_assert(exp.mixedLocal >= 0 && exp.mixedRemote >= 0);
-    hsipc_assert(exp.hostsPerNode >= 1);
-    hsipc_assert(exp.packetBytes > 0 && "packetBytes must be positive");
-    hsipc_assert(exp.computeUs >= 0 && "computeUs cannot be negative");
-    hsipc_assert(exp.wireUs >= 0 && "wireUs cannot be negative");
-    hsipc_assert(exp.kernelBuffers >= 1 &&
-                 "need at least one kernel buffer per node");
-    hsipc_assert(exp.mpSpeedFactor > 0 &&
-                 "mpSpeedFactor must be positive");
-    hsipc_assert(exp.ringMbps > 0 && "ringMbps must be positive");
-    hsipc_assert(exp.warmupUs >= 0 && exp.measureUs > 0);
-    for (double rate : {exp.lossRate, exp.corruptRate,
-                        exp.duplicateRate, exp.reorderRate})
-        hsipc_assert(rate >= 0 && rate <= 1 &&
-                     "fault rates are probabilities");
-    hsipc_assert(exp.reorderDelayUs >= 0);
-    hsipc_assert(exp.retransmitTimeoutUs > 0 &&
-                 "retransmitTimeoutUs must be positive");
-    hsipc_assert(exp.retransmitWindow >= 1 &&
-                 "retransmitWindow must be at least 1");
-    const int crashNodes = std::max(2, exp.topo.nodes);
-    for (const CrashWindow &w : exp.crashSchedule) {
-        hsipc_assert(w.node >= 0 && w.node < crashNodes &&
-                     "crash node must name an existing node");
-        hsipc_assert(w.startUs >= 0 && w.endUs > w.startUs &&
-                     "crash window must be well-formed");
-    }
-    hsipc_assert(exp.arrivalMode >= 0 && exp.arrivalMode <= 2 &&
-                 "arrivalMode is 0 (closed), 1 (Poisson), or 2 "
-                 "(bounded Pareto)");
-    if (exp.arrivalMode != 0) {
-        hsipc_assert(exp.arrivalRatePerSec > 0 &&
-                     "open arrivals need a positive rate");
-        hsipc_assert(exp.mixedLocal == 0 && exp.mixedRemote == 0 &&
-                     "open arrivals are incompatible with the mixed "
-                     "workload");
-    }
-    if (exp.arrivalMode == 2) {
-        hsipc_assert(exp.paretoAlpha > 0 && exp.paretoAlpha != 1.0 &&
-                     "bounded Pareto needs alpha > 0, alpha != 1");
-        hsipc_assert(exp.paretoBound > 1 &&
-                     "bounded Pareto needs an upper bound > 1");
-    }
-    hsipc_assert(exp.deadlineUs >= 0 &&
-                 "deadlineUs cannot be negative");
-    hsipc_assert(exp.retryBudget >= 0 &&
-                 "retryBudget cannot be negative");
-    if (exp.retryBudget > 0)
-        hsipc_assert(exp.retryBackoffUs > 0 &&
-                     exp.retryBackoffMaxUs >= exp.retryBackoffUs &&
-                     "retry backoff needs 0 < base <= ceiling");
-    hsipc_assert(exp.svcQueueCap >= 0 &&
-                 "svcQueueCap cannot be negative");
-    hsipc_assert(exp.shedPolicy >= 0 && exp.shedPolicy <= 2 &&
-                 "shedPolicy is 0 (reject-new), 1 (drop-oldest), or "
-                 "2 (deadline-aware)");
-    hsipc_assert(exp.rtoMaxUs > 0 && "rtoMaxUs must be positive");
-    hsipc_assert(exp.timelineIntervalUs >= 0 &&
-                 "timelineIntervalUs cannot be negative");
-    if (exp.timelineIntervalUs > 0)
-        hsipc_assert((exp.warmupUs + exp.measureUs) /
-                             exp.timelineIntervalUs <=
-                         4e6 &&
-                     "timeline bin count is unreasonably large");
-    hsipc_assert((exp.timelineFile.empty() ||
-                  exp.timelineIntervalUs > 0) &&
-                 "timelineFile needs a positive timelineIntervalUs");
-    hsipc_assert(exp.traceSampleRate >= 0 &&
-                 exp.traceSampleRate <= 1 &&
-                 "traceSampleRate is a probability");
-    hsipc_assert((exp.engineProfileFile.empty() ||
-                  exp.engineProfile) &&
-                 "engineProfileFile needs engineProfile");
-    hsipc_assert(exp.queueKind >= 0 && exp.queueKind <= 1 &&
-                 "queueKind is 0 (binary heap) or 1 (ladder queue)");
-    hsipc_assert(exp.expectedPendingEvents >= 0 &&
-                 "expectedPendingEvents cannot be negative");
-    hsipc_assert((exp.topo.nodes == 0 ||
-                  (exp.topo.nodes >= 2 && exp.topo.nodes <= 1024)) &&
-                 "topology nodes is 0 (off) or in [2, 1024]");
-    if (exp.topo.enabled()) {
-        hsipc_assert(exp.topo.kind >= 0 && exp.topo.kind <= 2 &&
-                     "topology kind is 0 (mesh), 1 (switch), or 2 "
-                     "(ring segments)");
-        hsipc_assert(exp.topo.placement >= 0 &&
-                     exp.topo.placement <= 3 &&
-                     "placement is 0 (classic), 1 (round-robin), 2 "
-                     "(locality), or 3 (hot-spot)");
-        hsipc_assert(exp.topo.linkLatencyUs >= 0 &&
-                     exp.topo.switchLatencyUs >= 0 &&
-                     exp.topo.linkMbps >= 0 &&
-                     "link parameters cannot be negative");
-        hsipc_assert(exp.topo.segments >= 1 &&
-                     "topology needs at least one ring segment");
-        hsipc_assert(exp.topo.segMbps > 0 &&
-                     "segment ring rate must be positive");
-        hsipc_assert(exp.topo.zipfSkew > 0 &&
-                     "hot-spot skew must be positive");
-        for (const topo::TopoLink &l : exp.topo.links)
-            hsipc_assert(l.a >= 0 && l.b >= 0 && l.a != l.b &&
-                         l.latencyUs >= 0 && l.mbps >= 0 &&
-                         "link override must be well-formed");
-        hsipc_assert(exp.mixedLocal == 0 && exp.mixedRemote == 0 &&
-                     "the topology layer is incompatible with the "
-                     "mixed workload");
-        hsipc_assert(!exp.useTokenRing &&
-                     "topology kind 2 models ring segments; "
-                     "useTokenRing is the legacy two-node ring");
+    const std::vector<std::string> errors = validate(exp);
+    if (!errors.empty()) {
+        std::string msg = "invalid experiment";
+        for (const std::string &e : errors)
+            msg += (&e == &errors.front() ? ": " : "; ") + e;
+        hsipc_panic(msg);
     }
     Sim sim(exp, tracer, metrics, engineProf);
     return sim.run();

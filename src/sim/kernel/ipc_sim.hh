@@ -64,9 +64,16 @@ struct Experiment
     bool extraCopy = false;   //!< §6.8 validation configuration
     double mpSpeedFactor = 1; //!< MP speed relative to the host
     int kernelBuffers = 64;   //!< finite buffer pool per node
-    double wireUs = 0;        //!< fixed network delay (ideal medium)
-    bool useTokenRing = false; //!< model the 4 Mb/s token ring instead
-    double ringMbps = 4.0;    //!< token-ring data rate
+
+    /**
+     * Two-node medium shorthands, mapped into the run's canonical
+     * topology when `topo` is unset: a 2-node mesh of wireUs links,
+     * or with useTokenRing a 2-station ring segment at ringMbps,
+     * which alone also reports Outcome::ringUtil/ringTokenWaitUs.
+     */
+    double wireUs = 0;
+    bool useTokenRing = false;
+    double ringMbps = 4.0;
     int packetBytes = 48;     //!< message + header on the wire
     double warmupUs = 100000;
     double measureUs = 1500000;
@@ -215,14 +222,13 @@ struct Experiment
     int expectedPendingEvents = 0;
 
     /**
-     * N-node interconnect topology (see sim/topo/topology.hh).
-     * Strictly pay-for-use: with nodes == 0 (the default) the layer
-     * is off and the simulator keeps its historical one/two-node
-     * path bit-for-bit; nodes >= 2 instantiates the described fabric
-     * and the placement policy decides where conversations live
-     * (`local` and the classic two-node layout are superseded).
-     * Incompatible with the mixed workload and with useTokenRing
-     * (kind 2 models rings of its own).
+     * N-node interconnect topology (see sim/topo/topology.hh).  With
+     * nodes == 0 (the default) the run's fabric comes from the
+     * shorthands above; nodes >= 2 is used as-is, its placement
+     * policy decides where conversations live (superseding `local`),
+     * and the run also reports the topology ledger, trace track and
+     * timeline gauges.  Incompatible with the mixed workload and
+     * with useTokenRing.
      */
     topo::Topology topo;
 
@@ -421,14 +427,25 @@ struct Outcome
      * Per-link / per-router flow-conservation ledger of the topology
      * layer, filled only when Experiment::topo is enabled (the
      * topo.* invariant family audits it).  Like engineProfile it is
-     * deliberately excluded from outcomeJson() — the degenerate
-     * two-node topology must stay byte-identical to the legacy path
-     * — and rendered separately by topoJson().
+     * deliberately excluded from outcomeJson() — a user-set two-node
+     * topology must stay byte-identical to its shorthand run — and
+     * rendered separately by topoJson().
      */
     topo::Ledger topo;
 };
 
-/** Run the experiment to completion and return the measurements. */
+/**
+ * Every rule @p exp violates, one message each; empty when the
+ * configuration is runnable.  runExperiment() panics on a nonempty
+ * list, and the JSON loader (sim/check/experiment_json.hh) turns it
+ * into a parse error.
+ */
+std::vector<std::string> validate(const Experiment &exp);
+
+/**
+ * Run the experiment to completion and return the measurements;
+ * panics, listing every violation, when validate() rejects @p exp.
+ */
 Outcome runExperiment(const Experiment &exp);
 
 /**

@@ -15,8 +15,6 @@ Network::Network(EventQueue &eq, const Topology &t,
       tracer(tr && tr->enabled() ? tr : nullptr), prof(p)
 {
     hsipc_assert(topo.enabled());
-    // Same attribution origin as the legacy wire: the degenerate
-    // two-node mesh profiles identically to the path it replaces.
     if (prof)
         wireOrigin = prof->origin("wire");
 
@@ -142,8 +140,9 @@ Network::dispatch(Tick delay, EventQueue::Callback cb,
                   EventQueue::Batch *batch)
 {
     if (prof) {
-        // The inter-node lookahead edge, exactly as the legacy wire
-        // records it (see Sim::rawWire).
+        // The inter-node lookahead edge: the minimum positive delta
+        // on (src -> wire) edges is what a sharded engine could
+        // exploit between nodes.
         prof->edge(wireOrigin, delay);
         auto wrapped = [this, inner = std::move(cb)]() {
             obs::EngineProfiler::Scope s(prof, wireOrigin);

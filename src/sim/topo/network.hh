@@ -8,10 +8,8 @@
  *
  *  - **mesh** (0): a dedicated directed link per ordered node pair,
  *    each with its own propagation latency and optional serialization
- *    rate (overridable per pair).  One scheduled event per packet —
- *    with the defaults this is event-for-event the legacy fixed-delay
- *    wire, which is what makes the N=2 degenerate topology
- *    byte-identical to the historical two-node path.
+ *    rate (overridable per pair).  One scheduled event per packet;
+ *    a 2-node mesh is the medium behind Experiment::wireUs.
  *
  *  - **star** (1): every node hangs off one store-and-forward switch.
  *    Ingress link (latency + serialization), a single-server FIFO
@@ -26,7 +24,7 @@
  *    routers bridge segments over a full mesh of point-to-point
  *    backbone links.  A cross-segment packet takes source ring →
  *    source router → backbone → destination router → destination
- *    ring.
+ *    ring.  One 2-station segment is Experiment::useTokenRing.
  *
  * Accounting discipline: every hand-off increments the receiving
  * element's ledger *before* any event is scheduled, and completion
@@ -39,8 +37,8 @@
  *
  * Observational hooks mirror the rest of the simulator: a Tracer
  * gets a "topo" counter track of router depths, an EngineProfiler
- * gets the same "wire" origin and lookahead edges the legacy wire
- * recorded.  Neither perturbs the event sequence.
+ * gets a "wire" origin and the inter-node lookahead edges.  Neither
+ * perturbs the event sequence.
  */
 
 #ifndef HSIPC_SIM_TOPO_NETWORK_HH
@@ -73,8 +71,8 @@ class Network
     /**
      * Route @p bytes from node @p src to node @p dst (src != dst);
      * @p deliver fires when the packet fully arrives.  When @p batch
-     * is non-null the *first* hop is staged into it (matching the
-     * legacy wire's batching contract); later hops of multi-hop
+     * is non-null the *first* hop is staged into it (the reliable
+     * channel's batching contract); later hops of multi-hop
      * fabrics schedule directly — they run from events, after the
      * batch committed.
      */
@@ -97,6 +95,11 @@ class Network
 
     /** Total packets currently traversing links (timeline gauge). */
     double linkInFlightSum() const;
+
+    const Topology &topology() const { return topo; }
+
+    /** Segment @p s's token ring (kind 2 only). */
+    const TokenRing &ring(std::size_t s) const { return *rings[s]; }
 
   private:
     /** A point-to-point link (or a ring booked as one ledger). */

@@ -10,11 +10,11 @@
  * by routers over a full-mesh backbone (kind 2).  Placement policies
  * decide which nodes carry a conversation's client and server.
  *
- * Strictly pay-for-use: nodes == 0 disables the layer entirely and
- * the simulator keeps its historical one/two-node path bit-for-bit.
- * With nodes == 2, kind 0, linkMbps == 0 and linkLatencyUs == wireUs,
- * the topology reproduces the legacy two-node run byte-identically
- * (pinned by tests/test_topo.cc).
+ * Every multi-node run goes through one: with nodes == 0 the
+ * simulator derives it from the Experiment's two-node shorthands (a
+ * 2-node mesh of wireUs links, or a 2-station ring segment for
+ * useTokenRing), so a user-set equivalent topology reproduces the
+ * shorthand run byte-identically (pinned by tests/test_topo.cc).
  *
  * The Ledger types carry the exact per-link / per-router flow-
  * conservation counts the topo.* invariant family asserts (see
@@ -55,8 +55,8 @@ struct TopoLink
 /** The Experiment-level interconnect description. */
 struct Topology
 {
-    //! Node count; 0 disables the whole layer (the legacy path),
-    //! any value >= 2 enables it.
+    //! Node count; 0 leaves the fabric to the Experiment's
+    //! two-node shorthands, any value >= 2 enables it.
     int nodes = 0;
 
     //! 0 = point-to-point full mesh, 1 = store-and-forward switch

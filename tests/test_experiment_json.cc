@@ -3,12 +3,14 @@
  * Tests of the Experiment ⇄ JSON round trip (sim/check) and the
  * underlying JSON parser (common/json_value): every field survives a
  * round trip bit-exactly — including awkward doubles and a full
- * 64-bit seed — and malformed or mistyped documents fail loudly.
+ * 64-bit seed — and malformed, mistyped or invalid documents fail
+ * loudly.
  */
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,22 +83,44 @@ everyFieldChanged()
     return e;
 }
 
+/**
+ * everyFieldChanged() split into two runnable halves: the mixed
+ * workload excludes both a topology and open arrivals (and a
+ * topology excludes useTokenRing), so no single valid document moves
+ * every field — the loader rejects invalid ones — but the two halves
+ * together do.
+ */
+std::vector<Experiment>
+everyFieldChangedRunnable()
+{
+    Experiment legacy = everyFieldChanged();
+    legacy.topo = topo::Topology{};
+    legacy.arrivalMode = 0;
+    Experiment fleet = everyFieldChanged();
+    fleet.mixedLocal = 0;
+    fleet.mixedRemote = 0;
+    fleet.useTokenRing = false;
+    return {legacy, fleet};
+}
+
 TEST(ExperimentJson, EveryFieldRoundTripsExactly)
 {
-    const Experiment original = everyFieldChanged();
-    const Experiment back =
-        experimentFromJsonText(experimentToJson(original));
-    // Field-wise exact equality, doubles bitwise (operator== is
-    // defaulted); any lossy rendering fails here.
-    EXPECT_TRUE(back == original);
+    for (const Experiment &original : everyFieldChangedRunnable()) {
+        ASSERT_TRUE(validate(original).empty());
+        const Experiment back =
+            experimentFromJsonText(experimentToJson(original));
+        // Field-wise exact equality, doubles bitwise (operator== is
+        // defaulted); any lossy rendering fails here.
+        EXPECT_TRUE(back == original);
 
-    // Spot-check the trickiest fields anyway, so a failure names the
-    // culprit instead of just "not equal".
-    EXPECT_EQ(back.seed, original.seed);
-    EXPECT_EQ(back.computeUs, original.computeUs);
-    EXPECT_EQ(back.traceFile, original.traceFile);
-    ASSERT_EQ(back.crashSchedule.size(), 2u);
-    EXPECT_EQ(back.crashSchedule[1].endUs, 6000.75);
+        // Spot-check the trickiest fields anyway, so a failure names
+        // the culprit instead of just "not equal".
+        EXPECT_EQ(back.seed, original.seed);
+        EXPECT_EQ(back.computeUs, original.computeUs);
+        EXPECT_EQ(back.traceFile, original.traceFile);
+        ASSERT_EQ(back.crashSchedule.size(), 2u);
+        EXPECT_EQ(back.crashSchedule[1].endUs, 6000.75);
+    }
 }
 
 TEST(ExperimentJson, DefaultsRoundTripAndEqualDefaults)
@@ -197,6 +221,39 @@ TEST(ExperimentJson, RejectsBadTopologyDocuments)
     EXPECT_THROW(experimentFromJsonText(
                      "{\"topology\": {\"links\": [{\"a\": 0}]}}"),
                  std::runtime_error);
+}
+
+/** The message experimentFromJsonText throws for @p text. */
+std::string
+rejection(const std::string &text)
+{
+    try {
+        experimentFromJsonText(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "accepted: " << text;
+    return "";
+}
+
+TEST(ExperimentJson, RejectsInvalidConfigurations)
+{
+    // Well-typed but impossible: the loader runs validate() so a
+    // repro cannot reach runExperiment() and abort there.
+    EXPECT_NE(rejection("{\"lossRate\": 2.0}").find("lossRate"),
+              std::string::npos);
+    EXPECT_NE(rejection("{\"topology\": {\"nodes\": 1}}")
+                  .find("topology nodes"),
+              std::string::npos);
+    // Every violation is listed, not just the first.
+    const std::string both = rejection(
+        "{\"packetBytes\": 0, \"retransmitWindow\": 0}");
+    EXPECT_NE(both.find("packetBytes must be positive"),
+              std::string::npos)
+        << both;
+    EXPECT_NE(both.find("retransmitWindow must be at least 1"),
+              std::string::npos)
+        << both;
 }
 
 TEST(JsonValue, ParsesTheBasics)

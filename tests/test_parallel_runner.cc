@@ -152,6 +152,12 @@ mixedExperiments()
     e.mixedRemote = 1;
     exps.push_back(e);
 
+    // Mixed workload over the ring shorthand: the one two-node
+    // layout no topology configuration expresses.
+    sim::Experiment f = e;
+    f.useTokenRing = true;
+    exps.push_back(f);
+
     return exps;
 }
 

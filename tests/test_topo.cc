@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests of the N-node topology layer (sim/topo): the degenerate
- * two-node topology is byte-identical to the legacy two-node path on
- * every architecture (with and without faults or the reliable
- * protocol), placement policies land conversations where specified,
- * every topology kind keeps the per-link/per-router flow-conservation
- * ledger balanced, and the ledger itself behaves (pay-for-use when
- * off, replicated bit-exactly across queue policies).
+ * two-node topologies are byte-identical to the wireUs and
+ * useTokenRing shorthands on every architecture (with and without
+ * faults or the reliable protocol), placement policies land
+ * conversations where specified, every topology kind keeps the
+ * per-link/per-router flow-conservation ledger balanced, and the
+ * ledger itself behaves (pay-for-use when off, replicated
+ * bit-exactly across queue policies).
  */
 
 #include <cstdint>
@@ -55,15 +56,52 @@ degenerate(const Experiment &legacy)
     return e;
 }
 
+/** The useTokenRing shorthand as a 2-node, 1-segment ring fabric. */
+Experiment
+ringDegenerate(const Experiment &legacy)
+{
+    Experiment e = legacy;
+    e.useTokenRing = false;
+    e.topo.nodes = 2;
+    e.topo.kind = 2; // token-ring segments
+    e.topo.segments = 1;
+    e.topo.segMbps = legacy.ringMbps;
+    e.topo.placement = 0;
+    return e;
+}
+
+/**
+ * @p legacy's outcomeJson equals its degenerate topology's, for the
+ * wireUs medium and for the useTokenRing shorthand at the default
+ * 4 Mb/s and at 10 Mb/s.  The two ring-only fields are stripped from
+ * the shorthand run: a user-set kind-2 fabric reports its rings
+ * through the ledger and leaves them zero.
+ */
+void
+expectDegenerateMatches(const Experiment &legacy, const std::string &what)
+{
+    EXPECT_EQ(outcomeJson(runExperiment(legacy)),
+              outcomeJson(runExperiment(degenerate(legacy))))
+        << what;
+    for (double mbps : {4.0, 10.0}) {
+        Experiment ring = legacy;
+        ring.useTokenRing = true;
+        ring.ringMbps = mbps;
+        Outcome a = runExperiment(ring);
+        EXPECT_GT(a.ringUtil, 0.0) << what << ", ring " << mbps;
+        a.ringUtil = 0;
+        a.ringTokenWaitUs = 0;
+        EXPECT_EQ(outcomeJson(a),
+                  outcomeJson(runExperiment(ringDegenerate(ring))))
+            << what << ", ring " << mbps;
+    }
+}
+
 TEST(TopoDegenerate, TwoNodeMeshMatchesLegacyBytesOnEveryArch)
 {
-    for (int arch = 1; arch <= 4; ++arch) {
-        const Experiment legacy = legacyRemote(arch);
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
-            << "arch " << arch;
-    }
+    for (int arch = 1; arch <= 4; ++arch)
+        expectDegenerateMatches(legacyRemote(arch),
+                                "arch " + std::to_string(arch));
 }
 
 TEST(TopoDegenerate, MatchesLegacyUnderFaults)
@@ -74,10 +112,7 @@ TEST(TopoDegenerate, MatchesLegacyUnderFaults)
         legacy.corruptRate = 0.05;
         legacy.duplicateRate = 0.05;
         legacy.retransmitTimeoutUs = 2000;
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
-            << "arch " << arch;
+        expectDegenerateMatches(legacy, "arch " + std::to_string(arch));
     }
 }
 
@@ -86,37 +121,23 @@ TEST(TopoDegenerate, MatchesLegacyWithTheReliableProtocol)
     for (int arch = 1; arch <= 4; ++arch) {
         Experiment legacy = legacyRemote(arch);
         legacy.reliableProtocol = true;
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
-            << "arch " << arch;
+        expectDegenerateMatches(legacy, "arch " + std::to_string(arch));
     }
 }
 
 TEST(TopoDegenerate, MatchesLegacyEngineProfileDeterministically)
 {
-    // The fabric reuses the legacy "wire" profiler origin, so even
-    // the lookahead graph of the degenerate topology matches.  The
-    // one line excluded is callback storage: the fabric's wrapper
-    // captures link bookkeeping around the kernel's delivery
-    // callback, so a handful of wire callbacks spill to the heap
-    // that fit inline on the legacy path — an allocator internal,
-    // not an event-stream observable.
-    const auto stripCallbacks = [](std::string json) {
-        const std::size_t from = json.find("\"callbacks\"");
-        const std::size_t to = json.find('\n', from);
-        if (from != std::string::npos && to != std::string::npos)
-            json.erase(from, to - from);
-        return json;
-    };
+    // Both runs route through the same fabric under the "wire"
+    // profiler origin, so the whole deterministic profile matches —
+    // lookahead graph and callback storage alike.
     Experiment legacy = legacyRemote(2);
     legacy.engineProfile = true;
     const Experiment two = degenerate(legacy);
     const Outcome a = runExperiment(legacy);
     const Outcome b = runExperiment(two);
     EXPECT_EQ(outcomeJson(a), outcomeJson(b));
-    EXPECT_EQ(stripCallbacks(a.engineProfile.deterministicJson()),
-              stripCallbacks(b.engineProfile.deterministicJson()));
+    EXPECT_EQ(a.engineProfile.deterministicJson(),
+              b.engineProfile.deterministicJson());
 }
 
 TEST(TopoLedger, IsEmptyWithoutATopology)

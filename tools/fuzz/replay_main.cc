@@ -9,7 +9,8 @@
  *   fuzz_replay REPRO.json [--differential] [--print]
  *
  * Exit status 0 when the configuration is now clean, 1 when it still
- * violates, 2 on usage or parse errors.
+ * violates, 2 on usage, parse or validation errors (an impossible
+ * configuration is listed rule by rule, never run).
  */
 
 #include <cstdio>
