@@ -68,7 +68,8 @@ main(int argc, char **argv)
     trace::Tracer tr;
     tr.setEnabled(true);
     metrics::Registry reg;
-    const sim::Outcome o = sim::runExperiment(e, &tr, &reg);
+    const sim::Outcome o =
+        sim::runExperiment(e, {.tracer = &tr, .metrics = &reg});
 
     const Tick warm = usToTicks(e.warmupUs);
     const Tick end = warm + usToTicks(e.measureUs);

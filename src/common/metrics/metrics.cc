@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -183,12 +183,7 @@ Registry::toTable() const
 void
 Registry::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open metrics file " + path);
-    const std::string doc = toJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeArtifact(path, toJson(), "metrics file");
 }
 
 } // namespace hsipc::metrics

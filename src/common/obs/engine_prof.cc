@@ -1,8 +1,8 @@
 #include "common/obs/engine_prof.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -179,12 +179,7 @@ EngineProfile::toJson() const
 void
 EngineProfile::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open engine-profile output file " + path);
-    const std::string doc = toJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeArtifact(path, toJson(), "engine-profile output file");
 }
 
 void

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -251,12 +252,7 @@ Tracer::chromeJson() const
 void
 Tracer::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open trace file " + path);
-    const std::string doc = chromeJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeArtifact(path, chromeJson(), "trace file");
 }
 
 std::map<std::string, Tick>

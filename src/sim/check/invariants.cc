@@ -1106,7 +1106,7 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
         tracer.setEnabled(true);
         metrics::Registry registry;
         const Outcome traced =
-            runExperiment(exp, &tracer, &registry);
+            runExperiment(exp, {.tracer = &tracer, .metrics = &registry});
         if (fullJson(traced) != baseJson)
             res.violations.push_back(
                 {"determinism.traceIdentity",

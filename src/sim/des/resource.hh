@@ -11,6 +11,7 @@
 #include <deque>
 #include <string>
 
+#include "common/obs/sinks.hh"
 #include "common/trace/critical_path.hh"
 #include "common/trace/tracer.hh"
 #include "sim/des/event_queue.hh"
@@ -27,35 +28,19 @@ class Resource
     {}
 
     /**
-     * Record this resource's holds (and queue depth) as a track in
-     * @p t.  Purely observational: tracing never alters grant order
-     * or timing.
+     * Record into the non-null members of @p s: a trace track of
+     * holds and queue depth; for a request with a msgId, its
+     * wait-for-grant as a causal Queue interval and its hold as
+     * Service; and the profiler's attribution of release events plus
+     * one provenance edge (granter -> this, delta = the hold) per
+     * grant.  Observational only: grant order and timing never move.
      */
     void
-    attachTracer(trace::Tracer *t)
+    attach(const obs::Sinks &s)
     {
-        tracer = t;
-        traceTrack = t ? t->track(name) : -1;
-    }
-
-    /**
-     * Report per-message queue/service intervals into @p log: a
-     * request carrying a msgId contributes its wait-for-grant time as
-     * Queue and its hold as Service on this resource's name.
-     * Observational only.
-     */
-    void attachCausalLog(trace::CausalLog *log) { causal = log; }
-
-    /**
-     * Attribute release events to this resource in @p p's wall-clock
-     * cost model and record a provenance edge (whoever is granting →
-     * this resource, delta = the hold) per grant.  Observational only.
-     */
-    void
-    attachProfiler(obs::EngineProfiler *p)
-    {
-        prof = p;
-        profOrigin = p ? p->origin(name) : 0;
+        sinks = s;
+        traceTrack = s.tracer ? s.tracer->track(name) : -1;
+        profOrigin = s.profiler ? s.profiler->origin(name) : 0;
     }
 
     /**
@@ -70,9 +55,9 @@ class Resource
     {
         waiting.push_back(
             Request{priority, hold, msgId, eq.now(), std::move(done)});
-        if (tracer && tracer->enabled())
-            tracer->counter(traceTrack, "queued", eq.now(),
-                            static_cast<double>(waiting.size()));
+        if (sinks.tracer)
+            sinks.tracer->counter(traceTrack, "queued", eq.now(),
+                                  static_cast<double>(waiting.size()));
         if (!busy)
             grantNext();
     }
@@ -130,25 +115,26 @@ class Resource
         busy = true;
         busyTicks += req.hold;
         heldUntil = eq.now() + req.hold;
-        if (tracer && tracer->enabled()) {
-            tracer->complete(traceTrack, "access", eq.now(), req.hold,
-                             "bus", req.msgId);
-            tracer->counter(traceTrack, "queued", eq.now(),
-                            static_cast<double>(waiting.size()));
+        if (sinks.tracer) {
+            sinks.tracer->complete(traceTrack, "access", eq.now(),
+                                   req.hold, "bus", req.msgId);
+            sinks.tracer->counter(traceTrack, "queued", eq.now(),
+                                  static_cast<double>(waiting.size()));
         }
-        if (causal && causal->enabled() && req.msgId != 0) {
-            causal->interval(req.msgId, name, trace::Component::Queue,
-                             req.enqueuedAt, eq.now());
-            causal->interval(req.msgId, name,
-                             trace::Component::Service, eq.now(),
-                             eq.now() + req.hold);
+        if (sinks.causal && req.msgId != 0) {
+            sinks.causal->interval(req.msgId, name,
+                                   trace::Component::Queue,
+                                   req.enqueuedAt, eq.now());
+            sinks.causal->interval(req.msgId, name,
+                                   trace::Component::Service, eq.now(),
+                                   eq.now() + req.hold);
         }
-        if (prof)
-            prof->edge(profOrigin, req.hold);
+        if (sinks.profiler)
+            sinks.profiler->edge(profOrigin, req.hold);
         eq.scheduleAfter(req.hold,
                          [this, done = std::move(req.done)]() {
-                             obs::EngineProfiler::Scope s(prof,
-                                                          profOrigin);
+                             obs::EngineProfiler::Scope s(
+                                 sinks.profiler, profOrigin);
                              busy = false;
                              done();
                              if (!busy)
@@ -158,9 +144,7 @@ class Resource
 
     EventQueue &eq;
     std::string name;
-    trace::Tracer *tracer = nullptr;
-    trace::CausalLog *causal = nullptr;
-    obs::EngineProfiler *prof = nullptr;
+    obs::Sinks sinks; //!< enabled sinks; null members are off
     int profOrigin = 0;
     int traceTrack = -1;
     std::deque<Request> waiting;

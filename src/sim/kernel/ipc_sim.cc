@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/obs/trace_sample.hh"
@@ -61,8 +60,7 @@ struct QueueEntry
 struct Node
 {
     Node(EventQueue &eq, const std::string &prefix, int hosts,
-         bool coproc, bool split_bus, trace::Tracer *tracer,
-         trace::CausalLog *causal, obs::EngineProfiler *prof)
+         bool coproc, bool split_bus, const obs::Sinks &sinks)
         : busTcb(eq, prefix + ".busTcb"),
           busKb(eq, prefix + ".busKb"), nicIn(eq, prefix + ".nicIn"),
           nicOut(eq, prefix + ".nicOut"), splitBus(split_bus),
@@ -75,42 +73,20 @@ struct Node
         if (coproc)
             mp = std::make_unique<Processor>(eq, prefix + ".mp");
 
-        // Track registration order fixes the trace layout: hosts,
-        // MP, bus partitions, DMA engines, then the service queue.
-        if (tracer) {
-            for (auto &h : this->hosts)
-                h->attachTracer(tracer);
-            if (mp)
-                mp->attachTracer(tracer);
-            busTcb.attachTracer(tracer);
-            if (split_bus)
-                busKb.attachTracer(tracer);
-            nicIn.attachTracer(tracer);
-            nicOut.attachTracer(tracer);
-            svcTrack = tracer->track(prefix + ".svc");
-        }
-        if (causal) {
-            for (auto &h : this->hosts)
-                h->attachCausalLog(causal);
-            if (mp)
-                mp->attachCausalLog(causal);
-            busTcb.attachCausalLog(causal);
-            if (split_bus)
-                busKb.attachCausalLog(causal);
-            nicIn.attachCausalLog(causal);
-            nicOut.attachCausalLog(causal);
-        }
-        if (prof) {
-            for (auto &h : this->hosts)
-                h->attachProfiler(prof);
-            if (mp)
-                mp->attachProfiler(prof);
-            busTcb.attachProfiler(prof);
-            if (split_bus)
-                busKb.attachProfiler(prof);
-            nicIn.attachProfiler(prof);
-            nicOut.attachProfiler(prof);
-        }
+        // Attach order fixes the trace and engine-profile layouts:
+        // hosts, MP, bus partitions, DMA engines, then the service
+        // queue.
+        for (auto &h : this->hosts)
+            h->attach(sinks);
+        if (mp)
+            mp->attach(sinks);
+        busTcb.attach(sinks);
+        if (split_bus)
+            busKb.attach(sinks);
+        nicIn.attach(sinks);
+        nicOut.attach(sinks);
+        if (sinks.tracer)
+            svcTrack = sinks.tracer->track(prefix + ".svc");
     }
 
     /** The processor executing communication processing. */
@@ -180,9 +156,7 @@ canonicalTopology(const Experiment &exp)
 class Sim
 {
   public:
-    Sim(const Experiment &exp, trace::Tracer *extTracer,
-        metrics::Registry *extMetrics,
-        obs::EngineProfiler *extEngProf)
+    Sim(const Experiment &exp, const obs::Sinks &caller)
         : exp(exp), rng(exp.seed),
           // The injector draws from its own stream so that enabling
           // faults never perturbs the workload's random sequence.
@@ -205,41 +179,16 @@ class Sim
         if (check::testHooks().ladderMisorderTiebreak)
             eq.plantLadderMisorderTiebreak();
 
-        // Resolve the observability sinks before anything registers a
-        // track: an external tracer (the caller enables it) or the
-        // owned one when the experiment names a trace file.  Metrics
-        // instruments exist only when somebody will read them.
-        tracer = extTracer ? extTracer : &ownTracer;
-        if (!exp.traceFile.empty())
-            tracer->setEnabled(true);
-        metrics = extMetrics ? extMetrics
-                             : (exp.metricsFile.empty() ? nullptr
-                                                        : &ownMetrics);
-        if (metrics) {
-            rtHist = &metrics->histogram("ipc.roundTripUs");
-            pendingHist =
-                &metrics->histogram("svc.pendingMsgsDepth");
-            waitingHist =
-                &metrics->histogram("svc.waitingServersDepth");
-        }
-
-        // The engine self-profiler: an external sink wins (the
-        // caller's per-run isolation hook); otherwise the experiment
-        // knob brings an owned one to life.  Attached before any
-        // component exists so origin interning — which allocates —
-        // all happens here, never on the event path.
-        if (extEngProf)
-            engProf = extEngProf;
-        else if (exp.engineProfile)
-            engProf = (ownEngProf =
-                           std::make_unique<obs::EngineProfiler>())
-                          .get();
-        if (engProf) {
-            engProf->beginRun();
-            eq.attachProfiler(engProf);
+        // Resolved before any component exists, so track registration
+        // and origin interning (both allocate) all happen here, never
+        // on the event path.
+        resolveSinks(caller);
+        if (sinks.profiler) {
+            sinks.profiler->beginRun();
+            eq.attachProfiler(sinks.profiler);
             // The fabric's origin, interned ahead of the nodes' so
             // every profile's track layout starts "sim", "wire".
-            engProf->origin("wire");
+            sinks.profiler->origin("wire");
         }
 
         const bool coproc = exp.arch != Arch::I;
@@ -250,33 +199,26 @@ class Sim
         adjust(costsLocal);
         adjust(costsNonlocal);
 
-        // The causal log powering the critical-path decomposition is
-        // independent of the tracer (a decomposition needs no trace
-        // file) and equally observational.
-        if (exp.decomposeLatency)
-            pathLog.setEnabled(true);
-        trace::CausalLog *nodeCausal =
-            pathLog.enabled() ? &pathLog : nullptr;
-        trace::Tracer *nodeTracer =
-            tracer->enabled() ? tracer : nullptr;
         const topo::Topology topology = canonicalTopology(exp);
         nn = topology.enabled() ? topology.nodes : 1;
         for (int i = 0; i < nn; ++i)
             nodes.push_back(std::make_unique<Node>(
                 eq, "n" + std::to_string(i), exp.hostsPerNode,
-                coproc, split, nodeTracer, nodeCausal, engProf));
+                coproc, split, sinks));
         for (auto &n : nodes)
             n->freeBuffers = exp.kernelBuffers;
-        if (tracer->enabled())
-            injector.attachTracer(tracer, &eq);
+        injector.attach(sinks, &eq);
 
         // The interconnect fabric; rawWire() routes through it for
         // every node pair.  Its "topo" trace track belongs to
         // user-set topologies only, like every topology observable.
-        if (topology.enabled())
-            net = std::make_unique<topo::Network>(
-                eq, topology, exp.topo.enabled() ? tracer : nullptr,
-                engProf);
+        if (topology.enabled()) {
+            obs::Sinks fabricSinks = sinks;
+            if (!exp.topo.enabled())
+                fabricSinks.tracer = nullptr;
+            net = std::make_unique<topo::Network>(eq, topology,
+                                                  fabricSinks);
+        }
 
         // The reliability stack is strictly pay-for-use: it exists
         // only when the medium can fail (or when explicitly forced),
@@ -330,18 +272,14 @@ class Sim
                             rawWire(dst, src, bytes, std::move(cb),
                                     b);
                         };
-                    auto &c = chans[chanIndex(src, dst)];
-                    c = std::make_unique<ReliableChannel>(eq, rc,
-                                                          injector, h);
-                    if (tracer->enabled())
-                        c->attachTracer(tracer,
-                                        "net.n" + std::to_string(src) +
-                                            "->n" + std::to_string(dst));
+                    chans[chanIndex(src, dst)] =
+                        std::make_unique<ReliableChannel>(
+                            eq, rc, injector, h, sinks);
                 }
             }
         }
-        if (tracer->enabled())
-            simTrack = tracer->track("sim");
+        if (sinks.tracer)
+            simTrack = sinks.tracer->track("sim");
         for (const CrashWindow &w : exp.crashSchedule)
             recoveries.push_back(Recovery{w, -1});
 
@@ -400,57 +338,22 @@ class Sim
         if (exp.traceSampleRate < 1) {
             const obs::TraceSampler sampler(exp.traceSampleRate,
                                             exp.seed);
-            pathLog.setSampler(sampler);
-            tracer->setMessageSampler(sampler);
+            if (sinks.causal)
+                sinks.causal->setSampler(sampler);
+            if (sinks.tracer)
+                sinks.tracer->setMessageSampler(sampler);
         }
 
-        // Time-resolved observability: windowed series over the whole
-        // run.  Counter handles are bumped at the same sites as the
-        // whole-run ledgers (so each series integrates exactly to its
-        // ledger counterpart); gauges are sampled by a read-only
-        // boundary event.  Scheduled last so the kickoff events above
-        // keep their sequence numbers regardless of this knob.
-        if (exp.timelineIntervalUs > 0) {
-            tl.configure(exp.timelineIntervalUs,
-                         exp.warmupUs + exp.measureUs, exp.warmupUs);
-            tlAllTrips = &tl.counter("ipc.allTrips");
-            tlRtSum = &tl.counter("ipc.rtSumUs");
-            tlTrips = &tl.counter("ipc.completedTrips");
-            tlStalls = &tl.counter("ipc.bufferStalls");
-            if (robust) {
-                tlRpcOffered = &tl.counter("rpc.offered");
-                tlRpcCompleted = &tl.counter("rpc.completed");
-                tlRpcShed = &tl.counter("rpc.shed");
-                tlRpcShedAttempts = &tl.counter("rpc.shedAttempts");
-                tlRpcExpired = &tl.counter("rpc.expired");
-                tlRpcLost = &tl.counter("rpc.lostToCrash");
-                tlRpcRetries = &tl.counter("rpc.retries");
-                tlRpcOrphans = &tl.counter("rpc.orphanedReplies");
-            }
-            if (!chans.empty()) {
-                tlNetTx = &tl.counter("net.dataTransmissions");
-                tlNetRetx = &tl.counter("net.retransmissions");
-                tlNetDeliver = &tl.counter("net.delivered");
-                tlNetAck = &tl.counter("net.acksSent");
-                for (auto &c : chans)
-                    c->setEventObserver([this](const char *event,
-                                               double by) {
-                        if (std::strcmp(event, "dataTx") == 0)
-                            tlAdd(tlNetTx, by);
-                        else if (std::strcmp(event, "retx") == 0)
-                            tlAdd(tlNetRetx, by);
-                        else if (std::strcmp(event, "deliver") == 0)
-                            tlAdd(tlNetDeliver, by);
-                        else if (std::strcmp(event, "ack") == 0)
-                            tlAdd(tlNetAck, by);
-                    });
-            }
-            if (tracer->enabled())
-                tlTrack = tracer->track("timeline");
+        // The timeline's gauges are sampled by a read-only boundary
+        // event, scheduled last so the kickoff events above keep
+        // their sequence numbers regardless of this knob.
+        if (sinks.timeline) {
+            if (sinks.tracer)
+                tlTrack = sinks.tracer->track("timeline");
             const Tick horizon =
                 usToTicks(exp.warmupUs + exp.measureUs);
-            if (tl.interval() <= horizon)
-                eq.schedule(tl.interval(),
+            if (sinks.timeline->interval() <= horizon)
+                eq.schedule(sinks.timeline->interval(),
                             [this]() { timelineBoundary(); });
         }
     }
@@ -470,11 +373,12 @@ class Sim
         const auto [protoHostBase, protoMpBase] = protoTicks();
         const auto [rpcHostBase, rpcMpBase] = prefixTicks("rpc");
         const long rpcOfferedBase = rpcTotals.offered;
-        if (simTrack >= 0)
-            tracer->instant(simTrack, "measureStart", warm, "phase");
+        if (sinks.tracer)
+            sinks.tracer->instant(simTrack, "measureStart", warm,
+                                  "phase");
         eq.runUntil(end);
-        if (simTrack >= 0)
-            tracer->instant(simTrack, "measureEnd", end, "phase");
+        if (sinks.tracer)
+            sinks.tracer->instant(simTrack, "measureEnd", end, "phase");
 
         Outcome out;
         out.roundTrips = completed;
@@ -649,59 +553,26 @@ class Sim
                 out.rpc.p95SojournUs = sojournSketch.quantile(0.95);
             }
         }
-        if (exp.decomposeLatency) {
-            out.decomposition = trace::decompose(pathLog, warm, end);
-            if (metrics) {
-                // Component latency histograms over the same window
-                // the decomposition covers, each paired with a
-                // same-named quantile sketch so the registry's
-                // reported p50/p95/p99 carry fixed relative error
-                // instead of the log2 bucket edge.
-                auto &h_rt = metrics->histogram("lat.roundTripUs");
-                auto &h_svc = metrics->histogram("lat.serviceUs");
-                auto &h_q = metrics->histogram("lat.queueUs");
-                auto &h_net = metrics->histogram("lat.networkUs");
-                auto &h_blk = metrics->histogram("lat.blockedUs");
-                auto &s_rt = metrics->sketch("lat.roundTripUs");
-                auto &s_svc = metrics->sketch("lat.serviceUs");
-                auto &s_q = metrics->sketch("lat.queueUs");
-                auto &s_net = metrics->sketch("lat.networkUs");
-                auto &s_blk = metrics->sketch("lat.blockedUs");
-                for (const auto &[id, rec] : pathLog.records()) {
-                    if (rec.end < 0 || rec.end <= warm ||
-                        rec.end > end ||
-                        rec.terminal !=
-                            trace::CausalLog::Terminal::Completed)
-                        continue;
-                    const trace::MessagePath p =
-                        trace::reconstructPath(id, rec);
-                    h_rt.observe(p.roundTripUs);
-                    h_svc.observe(p.serviceUs);
-                    h_q.observe(p.queueUs);
-                    h_net.observe(p.networkUs);
-                    h_blk.observe(p.blockedUs);
-                    s_rt.observe(p.roundTripUs);
-                    s_svc.observe(p.serviceUs);
-                    s_q.observe(p.queueUs);
-                    s_net.observe(p.networkUs);
-                    s_blk.observe(p.blockedUs);
-                }
-            }
+        if (sinks.causal) {
+            out.decomposition =
+                trace::decompose(*sinks.causal, warm, end);
+            if (sinks.metrics)
+                observeLatencyComponents(warm, end);
         }
-        if (tl.enabled()) {
+        if (sinks.timeline) {
             // The final (possibly partial) bin's gauges, unless the
             // last boundary already landed exactly on the horizon.
             if (eq.now() > tlPrevBoundary)
-                sampleTimelineGauges(tl.binCount() - 1);
-            out.timeline = tl.take();
+                sampleTimelineGauges(sinks.timeline->binCount() - 1);
+            out.timeline = sinks.timeline->take();
             out.stats = obs::analyzeSteadyState(
                 out.timeline.counters.at("ipc.allTrips"),
                 out.timeline.counters.at("ipc.rtSumUs"),
-                exp.timelineIntervalUs, exp.warmupUs);
+                out.timeline.intervalUs, out.timeline.warmupUs);
         }
-        if (engProf) {
-            engProf->finishRun(eq.size());
-            out.engineProfile = engProf->profile();
+        if (sinks.profiler) {
+            sinks.profiler->finishRun(eq.size());
+            out.engineProfile = sinks.profiler->profile();
         }
         finishObservability(out);
         return out;
@@ -750,6 +621,77 @@ class Sim
         Tick deadlineAt = -1; //!< absolute deadline (-1 = none)
         bool bufferHeld = false; //!< a kernel buffer is charged to us
     };
+
+    /**
+     * Resolve every sink by one rule, before anything registers a
+     * track or an origin: the caller's if supplied, else the owned
+     * one when an Experiment field asks for it.  The field turns the
+     * chosen sink on, and a sink that is still off stays null, so
+     * every recording site is a single null test.
+     */
+    void
+    resolveSinks(const obs::Sinks &caller)
+    {
+        const auto pick = [](auto *supplied, auto &own, bool asked) {
+            return supplied ? supplied : asked ? &own : nullptr;
+        };
+        const auto onOrNull = [](auto *sink) {
+            return sink && sink->enabled() ? sink : nullptr;
+        };
+        const bool traced = !exp.traceFile.empty();
+        sinks.tracer = pick(caller.tracer, ownTracer, traced);
+        if (traced)
+            sinks.tracer->setEnabled(true);
+        sinks.tracer = onOrNull(sinks.tracer);
+
+        sinks.metrics =
+            pick(caller.metrics, ownMetrics, !exp.metricsFile.empty());
+        if (sinks.metrics) {
+            rtHist = &sinks.metrics->histogram("ipc.roundTripUs");
+            pendingHist =
+                &sinks.metrics->histogram("svc.pendingMsgsDepth");
+            waitingHist =
+                &sinks.metrics->histogram("svc.waitingServersDepth");
+        }
+
+        sinks.causal =
+            pick(caller.causal, ownCausal, exp.decomposeLatency);
+        if (exp.decomposeLatency)
+            sinks.causal->setEnabled(true);
+        sinks.causal = onOrNull(sinks.causal);
+
+        // Time-resolved observability: windowed series over the whole
+        // run.  Counter handles are bumped at the same sites as the
+        // whole-run ledgers, so each series integrates exactly to its
+        // ledger counterpart.
+        const bool timed = exp.timelineIntervalUs > 0;
+        sinks.timeline = pick(caller.timeline, ownTimeline, timed);
+        if (timed)
+            sinks.timeline->configure(exp.timelineIntervalUs,
+                                      exp.warmupUs + exp.measureUs,
+                                      exp.warmupUs);
+        sinks.timeline = onOrNull(sinks.timeline);
+        if (sinks.timeline) {
+            obs::TimelineRecorder &tl = *sinks.timeline;
+            tlAllTrips = &tl.counter("ipc.allTrips");
+            tlRtSum = &tl.counter("ipc.rtSumUs");
+            tlTrips = &tl.counter("ipc.completedTrips");
+            tlStalls = &tl.counter("ipc.bufferStalls");
+            if (robust) {
+                tlRpcOffered = &tl.counter("rpc.offered");
+                tlRpcCompleted = &tl.counter("rpc.completed");
+                tlRpcShed = &tl.counter("rpc.shed");
+                tlRpcShedAttempts = &tl.counter("rpc.shedAttempts");
+                tlRpcExpired = &tl.counter("rpc.expired");
+                tlRpcLost = &tl.counter("rpc.lostToCrash");
+                tlRpcRetries = &tl.counter("rpc.retries");
+                tlRpcOrphans = &tl.counter("rpc.orphanedReplies");
+            }
+        }
+
+        sinks.profiler =
+            pick(caller.profiler, ownProfiler, exp.engineProfile);
+    }
 
     void
     adjust(IpcCosts &c)
@@ -956,16 +898,17 @@ class Sim
     void
     svcEvent(Node &node, const char *what)
     {
-        if (tracer->enabled() && node.svcTrack >= 0) {
-            tracer->instant(node.svcTrack, what, eq.now(), "queue");
-            tracer->counter(
+        if (sinks.tracer) {
+            sinks.tracer->instant(node.svcTrack, what, eq.now(),
+                                  "queue");
+            sinks.tracer->counter(
                 node.svcTrack, "pendingMsgs", eq.now(),
                 static_cast<double>(node.pendingMsgs.size()));
-            tracer->counter(
+            sinks.tracer->counter(
                 node.svcTrack, "waitingServers", eq.now(),
                 static_cast<double>(node.waitingServers.size()));
         }
-        if (metrics) {
+        if (sinks.metrics) {
             pendingHist->observe(
                 static_cast<double>(node.pendingMsgs.size()));
             waitingHist->observe(
@@ -982,7 +925,7 @@ class Sim
     tlAdd(obs::TimelineRecorder::Series *s, double n = 1)
     {
         if (s)
-            tl.add(*s, eq.now(), n);
+            sinks.timeline->add(*s, eq.now(), n);
     }
 
     /**
@@ -995,8 +938,8 @@ class Sim
     timelineBoundary()
     {
         // The boundary at (k+1)·interval closes bin k.
-        sampleTimelineGauges(tl.binOf(eq.now() - 1));
-        const Tick next = eq.now() + tl.interval();
+        sampleTimelineGauges(sinks.timeline->binOf(eq.now() - 1));
+        const Tick next = eq.now() + sinks.timeline->interval();
         if (next <= usToTicks(exp.warmupUs + exp.measureUs))
             eq.schedule(next, [this]() { timelineBoundary(); });
     }
@@ -1005,6 +948,7 @@ class Sim
     void
     sampleTimelineGauges(std::size_t bin)
     {
+        obs::TimelineRecorder &tl = *sinks.timeline;
         const Tick now = eq.now();
         const double elapsed =
             static_cast<double>(now - tlPrevBoundary);
@@ -1063,12 +1007,12 @@ class Sim
         if (tlTrack >= 0) {
             for (const auto &[name, g] : tl.gaugeSeries()) {
                 if (bin < g.size())
-                    tracer->counter(tlTrack, name, now, g[bin]);
+                    sinks.tracer->counter(tlTrack, name, now, g[bin]);
             }
             for (const auto &[name, s] : tl.counterSeries())
-                tracer->counter(tlTrack, name, now,
-                                bin < s.bins.size() ? s.bins[bin]
-                                                    : 0.0);
+                sinks.tracer->counter(tlTrack, name, now,
+                                      bin < s.bins.size() ? s.bins[bin]
+                                                          : 0.0);
         }
     }
 
@@ -1091,7 +1035,7 @@ class Sim
             jsonNumber(out.stats.throughputCi95PerSec) +
             ", \"meanRtUs\": " + jsonNumber(out.stats.meanRtUs) +
             ", \"rtCi95Us\": " + jsonNumber(out.stats.rtCi95Us) + "}";
-        if (exp.decomposeLatency) {
+        if (sinks.causal) {
             const trace::Decomposition &d = out.decomposition;
             extra += ",\n  \"decomposition\": {\"messages\": " +
                      std::to_string(d.messages) +
@@ -1100,20 +1044,53 @@ class Sim
                      ", \"bottleneck\": " +
                      jsonString(d.bottleneck) + "}";
         }
-        const std::string doc = out.timeline.toJson(extra);
-        std::FILE *f = std::fopen(exp.timelineFile.c_str(), "w");
-        if (!f)
-            hsipc_fatal("cannot open timeline file " +
-                        exp.timelineFile);
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
+        writeArtifact(exp.timelineFile, out.timeline.toJson(extra),
+                      "timeline file");
+    }
+
+    /**
+     * Component latency histograms over the window the decomposition
+     * covers, each paired with a same-named quantile sketch so the
+     * registry's reported p50/p95/p99 carry fixed relative error
+     * instead of the log2 bucket edge.
+     */
+    void
+    observeLatencyComponents(Tick warm, Tick end)
+    {
+        using Path = trace::MessagePath;
+        struct Component
+        {
+            const char *name;
+            double Path::*us;
+            metrics::Histogram *hist = nullptr;
+            obs::QuantileSketch *sketch = nullptr;
+        };
+        Component parts[] = {{"lat.roundTripUs", &Path::roundTripUs},
+                             {"lat.serviceUs", &Path::serviceUs},
+                             {"lat.queueUs", &Path::queueUs},
+                             {"lat.networkUs", &Path::networkUs},
+                             {"lat.blockedUs", &Path::blockedUs}};
+        for (Component &c : parts) {
+            c.hist = &sinks.metrics->histogram(c.name);
+            c.sketch = &sinks.metrics->sketch(c.name);
+        }
+        for (const auto &[id, rec] : sinks.causal->records()) {
+            if (rec.end < 0 || rec.end <= warm || rec.end > end ||
+                rec.terminal != trace::CausalLog::Terminal::Completed)
+                continue;
+            const Path p = trace::reconstructPath(id, rec);
+            for (const Component &c : parts) {
+                c.hist->observe(p.*c.us);
+                c.sketch->observe(p.*c.us);
+            }
+        }
     }
 
     /** End of run: fill the registry and write any requested files. */
     void
     finishObservability(const Outcome &out)
     {
-        if (metrics) {
+        if (metrics::Registry *metrics = sinks.metrics) {
             metrics->counter("des.eventsRun")
                 .inc(static_cast<std::int64_t>(eq.eventsRun()));
             metrics->counter("ipc.roundTrips").inc(out.roundTrips);
@@ -1142,9 +1119,9 @@ class Sim
                     .set(us);
         }
         if (!exp.metricsFile.empty())
-            metrics->writeJson(exp.metricsFile);
+            sinks.metrics->writeJson(exp.metricsFile);
         if (!exp.traceFile.empty())
-            tracer->writeChromeJson(exp.traceFile);
+            sinks.tracer->writeChromeJson(exp.traceFile);
         if (!exp.timelineFile.empty())
             writeTimelineFile(out);
         if (!exp.engineProfileFile.empty())
@@ -1194,13 +1171,13 @@ class Sim
     wire(int from, int to, long msg, EventQueue::Callback deliver)
     {
         EventQueue::Callback arrive = std::move(deliver);
-        if (pathLog.enabled() && msg != 0) {
+        if (sinks.causal && msg != 0) {
             const Tick sent = eq.now();
             arrive = [this, msg, sent,
                       inner = std::move(arrive)]() {
-                pathLog.interval(msg, "net",
-                                 trace::Component::Network, sent,
-                                 eq.now());
+                sinks.causal->interval(msg, "net",
+                                       trace::Component::Network, sent,
+                                       eq.now());
                 inner();
             };
         }
@@ -1237,9 +1214,9 @@ class Sim
             hsipc_warn_once("kernel buffer pool exhausted; sends now "
                             "stall until a reply frees a buffer "
                             "(counted in Outcome.bufferStalls)");
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->instant(cn.svcTrack, "bufferStall", eq.now(),
-                                "queue");
+            if (sinks.tracer)
+                sinks.tracer->instant(cn.svcTrack, "bufferStall",
+                                      eq.now(), "queue");
             cn.buffersWaiting.push_back(conv);
             return;
         }
@@ -1255,11 +1232,11 @@ class Sim
             if (cv.retriesLeft > 0)
                 armAttemptTimer(conv, batch);
         }
-        if (pathLog.enabled())
-            pathLog.start(cv.msgId, eq.now());
-        if (tracer->enabled() && cn.svcTrack >= 0)
-            tracer->asyncBegin(cn.svcTrack, "roundTrip", eq.now(),
-                               cv.msgId);
+        if (sinks.causal)
+            sinks.causal->start(cv.msgId, eq.now());
+        if (sinks.tracer)
+            sinks.tracer->asyncBegin(cn.svcTrack, "roundTrip", eq.now(),
+                                     cv.msgId);
         // Every step of the attempt's chain carries the (msg, rid)
         // pair captured here: when a retry supersedes this attempt,
         // the chain keeps reporting against its own message id rather
@@ -1436,12 +1413,12 @@ class Sim
         if (cv.msgId == 0)
             return;
         Node &cn = cNode(conv);
-        if (pathLog.enabled())
-            pathLog.abort(cv.msgId, eq.now(), why);
-        if (tracer->enabled() && cn.svcTrack >= 0) {
-            tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
-                             cv.msgId);
-            tracer->instant(cn.svcTrack, event, eq.now(), "rpc");
+        if (sinks.causal)
+            sinks.causal->abort(cv.msgId, eq.now(), why);
+        if (sinks.tracer) {
+            sinks.tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
+                                   cv.msgId);
+            sinks.tracer->instant(cn.svcTrack, event, eq.now(), "rpc");
         }
         cv.msgId = 0;
     }
@@ -1815,10 +1792,10 @@ class Sim
             // The request's stay in the service queue is time blocked
             // on the rendezvous: nobody was working on the message,
             // it was waiting for a server to become available.
-            if (pathLog.enabled() && entry.msg != 0)
-                pathLog.interval(entry.msg, node.svcName,
-                                 trace::Component::Blocked,
-                                 entry.enqueueAt, eq.now());
+            if (sinks.causal && entry.msg != 0)
+                sinks.causal->interval(entry.msg, node.svcName,
+                                       trace::Component::Blocked,
+                                       entry.enqueueAt, eq.now());
             if (robust)
                 convs[static_cast<std::size_t>(entry.conv)].svcState =
                     SvcState::InService;
@@ -1981,9 +1958,9 @@ class Sim
             ++rpcTotals.orphanedReplies;
             tlAdd(tlRpcOrphans);
             chargeRpc(cn, "rpcOrphan", rpcOrphanUs);
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->instant(cn.svcTrack, "rpcOrphan", eq.now(),
-                                "rpc");
+            if (sinks.tracer)
+                sinks.tracer->instant(cn.svcTrack, "rpcOrphan",
+                                      eq.now(), "rpc");
             return;
         }
         // Without the robustness layer exactly one attempt exists per
@@ -1995,14 +1972,14 @@ class Sim
         // completes the request, the newest attempt is the one whose
         // record spans the measured sendStart.
         if (cv0.msgId != 0) {
-            if (pathLog.enabled())
-                pathLog.done(cv0.msgId, eq.now());
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
-                                 cv0.msgId);
-            if (tracer->enabled())
-                tracer->flowEnd(clientHost(conv).traceTrackId(),
-                                "msg", eq.now(), cv0.msgId);
+            if (sinks.causal)
+                sinks.causal->done(cv0.msgId, eq.now());
+            if (sinks.tracer) {
+                sinks.tracer->asyncEnd(cn.svcTrack, "roundTrip",
+                                       eq.now(), cv0.msgId);
+                sinks.tracer->flowEnd(clientHost(conv).traceTrackId(),
+                                      "msg", eq.now(), cv0.msgId);
+            }
             cv0.msgId = 0;
         }
 
@@ -2079,22 +2056,21 @@ class Sim
     Rng robustRng;
     EventQueue eq;
 
-    // Observability sinks: caller-supplied or owned.  `tracer` is
-    // never null (a disabled owned tracer records nothing); `metrics`
-    // is null when metrics are off, and the histogram pointers are
-    // the hot-path handles into it.
+    // Observability: the owned sinks, and the bundle resolved from
+    // them and the caller's (see resolveSinks) that every component
+    // records into.  The histogram pointers are the hot-path handles
+    // into the registry.
     trace::Tracer ownTracer;
     metrics::Registry ownMetrics;
-    trace::Tracer *tracer = nullptr;
-    metrics::Registry *metrics = nullptr;
+    trace::CausalLog ownCausal;
+    obs::TimelineRecorder ownTimeline;
+    obs::EngineProfiler ownProfiler;
+    obs::Sinks sinks;
     metrics::Histogram *rtHist = nullptr;
     metrics::Histogram *pendingHist = nullptr;
     metrics::Histogram *waitingHist = nullptr;
     int simTrack = -1;
 
-    //! Per-message causal intervals backing Outcome::decomposition;
-    //! enabled only when exp.decomposeLatency is set.
-    trace::CausalLog pathLog;
     long lastMsgId = 0; //!< last lifetime id issued (0 = untagged)
     long lastRid = 0;   //!< last request id issued (0 = untracked)
     Outcome::Rpc rpcTotals; //!< whole-run disposition ledger
@@ -2102,10 +2078,8 @@ class Sim
     //! error, and the source of Outcome::rpc's sojourn percentiles.
     obs::QuantileSketch sojournSketch;
 
-    // Time-resolved observability: the recorder plus one handle per
-    // counter series.  All handles stay null (each bump site one
-    // branch) unless exp.timelineIntervalUs is positive.
-    obs::TimelineRecorder tl;
+    // One handle per timeline counter series; all stay null (each
+    // bump site one branch) unless a timeline is recording.
     obs::TimelineRecorder::Series *tlAllTrips = nullptr;
     obs::TimelineRecorder::Series *tlRtSum = nullptr;
     obs::TimelineRecorder::Series *tlTrips = nullptr;
@@ -2118,18 +2092,9 @@ class Sim
     obs::TimelineRecorder::Series *tlRpcLost = nullptr;
     obs::TimelineRecorder::Series *tlRpcRetries = nullptr;
     obs::TimelineRecorder::Series *tlRpcOrphans = nullptr;
-    obs::TimelineRecorder::Series *tlNetTx = nullptr;
-    obs::TimelineRecorder::Series *tlNetRetx = nullptr;
-    obs::TimelineRecorder::Series *tlNetDeliver = nullptr;
-    obs::TimelineRecorder::Series *tlNetAck = nullptr;
     std::map<std::string, Tick> tlBusyPrev; //!< last busy snapshot
     Tick tlPrevBoundary = 0; //!< when that snapshot was taken
     int tlTrack = -1; //!< Perfetto counter track for the timeline
-
-    //! Engine self-profiler (null when off): external one wins,
-    //! otherwise owned when exp.engineProfile is set.
-    obs::EngineProfiler *engProf = nullptr;
-    std::unique_ptr<obs::EngineProfiler> ownEngProf;
 
     std::vector<std::unique_ptr<Node>> nodes;
     //! The run's canonical interconnect (see canonicalTopology); null
@@ -2162,6 +2127,21 @@ validate(const Experiment &exp)
         if (!ok)
             errors.push_back(rule);
     };
+    const auto duration = [&need](const std::string &name, double us) {
+        need(std::isfinite(us) && us <= maxDurationUs,
+             name + " must be finite and at most maxDurationUs (1e12)");
+    };
+    duration("computeUs", exp.computeUs);
+    duration("wireUs", exp.wireUs);
+    duration("warmupUs", exp.warmupUs);
+    duration("measureUs", exp.measureUs);
+    duration("reorderDelayUs", exp.reorderDelayUs);
+    duration("retransmitTimeoutUs", exp.retransmitTimeoutUs);
+    duration("deadlineUs", exp.deadlineUs);
+    duration("retryBackoffUs", exp.retryBackoffUs);
+    duration("retryBackoffMaxUs", exp.retryBackoffMaxUs);
+    duration("rtoMaxUs", exp.rtoMaxUs);
+    duration("timelineIntervalUs", exp.timelineIntervalUs);
     const bool mixed = exp.mixedLocal > 0 || exp.mixedRemote > 0;
     need(exp.conversations >= 1 || mixed,
          "need at least one conversation (or a mixed workload)");
@@ -2191,6 +2171,7 @@ validate(const Experiment &exp)
              "crash node must name an existing node");
         need(w.startUs >= 0 && w.endUs > w.startUs,
              "crash window must be well-formed");
+        duration("crash window endUs", w.endUs);
     }
     need(exp.arrivalMode >= 0 && exp.arrivalMode <= 2,
          "arrivalMode is 0 (closed), 1 (Poisson), or 2 (bounded Pareto)");
@@ -2240,13 +2221,17 @@ validate(const Experiment &exp)
          "(hot-spot)");
     need(t.linkLatencyUs >= 0 && t.switchLatencyUs >= 0 && t.linkMbps >= 0,
          "link parameters cannot be negative");
+    duration("topology linkLatencyUs", t.linkLatencyUs);
+    duration("topology switchLatencyUs", t.switchLatencyUs);
     need(t.segments >= 1, "topology needs at least one ring segment");
     need(t.segMbps > 0, "segment ring rate must be positive");
     need(t.zipfSkew > 0, "hot-spot skew must be positive");
-    for (const topo::TopoLink &l : t.links)
+    for (const topo::TopoLink &l : t.links) {
         need(l.a >= 0 && l.b >= 0 && l.a != l.b && l.latencyUs >= 0 &&
                  l.mbps >= 0,
              "link override must be well-formed");
+        duration("link override latencyUs", l.latencyUs);
+    }
     need(!mixed,
          "the topology layer is incompatible with the mixed workload");
     need(!exp.useTokenRing, "topology kind 2 models ring segments; "
@@ -2255,22 +2240,7 @@ validate(const Experiment &exp)
 }
 
 Outcome
-runExperiment(const Experiment &exp)
-{
-    return runExperiment(exp, nullptr, nullptr);
-}
-
-Outcome
-runExperiment(const Experiment &exp, trace::Tracer *tracer,
-              metrics::Registry *metrics)
-{
-    return runExperiment(exp, tracer, metrics, nullptr);
-}
-
-Outcome
-runExperiment(const Experiment &exp, trace::Tracer *tracer,
-              metrics::Registry *metrics,
-              obs::EngineProfiler *engineProf)
+runExperiment(const Experiment &exp, const obs::Sinks &sinks)
 {
     // Test-only interception point (off in production; see
     // sim/check/test_hooks.hh).
@@ -2287,7 +2257,7 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
             msg += (&e == &errors.front() ? ": " : "; ") + e;
         hsipc_panic(msg);
     }
-    Sim sim(exp, tracer, metrics, engineProf);
+    Sim sim(exp, sinks);
     return sim.run();
 }
 

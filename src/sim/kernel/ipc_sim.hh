@@ -31,6 +31,7 @@
 
 #include "common/metrics/metrics.hh"
 #include "common/obs/engine_prof.hh"
+#include "common/obs/sinks.hh"
 #include "common/obs/steady.hh"
 #include "common/obs/timeline.hh"
 #include "common/stats.hh"
@@ -104,8 +105,8 @@ struct Experiment
      * JSON timeline (one track per simulated resource) at end of run;
      * a nonempty metricsFile enables the metrics registry and writes
      * its JSON dump.  Both are strictly observational: enabling them
-     * leaves every Outcome field bit-identical (pinned by
-     * Observability.TracingDoesNotPerturbOutcome).
+     * leaves every Outcome field bit-identical (pinned, with every
+     * other sink, by AllSinks/SinkCombination.ObservesNeverPerturbs).
      */
     std::string traceFile;
     std::string metricsFile;
@@ -435,6 +436,14 @@ struct Outcome
 };
 
 /**
+ * Ceiling on every microsecond-valued Experiment field: 1e12 us, about
+ * 11.6 days of simulated time.  validate() rejects a larger (or a
+ * non-finite) duration, so every conversion to Tick and every sum of
+ * a few durations stays far inside Tick's range (about 9.2e15 us).
+ */
+constexpr double maxDurationUs = 1e12;
+
+/**
  * Every rule @p exp violates, one message each; empty when the
  * configuration is runnable.  runExperiment() panics on a nonempty
  * list, and the JSON loader (sim/check/experiment_json.hh) turns it
@@ -445,30 +454,21 @@ std::vector<std::string> validate(const Experiment &exp);
 /**
  * Run the experiment to completion and return the measurements;
  * panics, listing every violation, when validate() rejects @p exp.
+ *
+ * @p sinks lets the caller record into sinks it can inspect
+ * afterwards (e.g. Tracer::busyByTrack()/busyByName() for utilization
+ * and activity breakdowns).  The run resolves every sink by one rule:
+ * the caller's if supplied, else an owned one when an Experiment
+ * field asks for it (traceFile, metricsFile, decomposeLatency,
+ * timelineIntervalUs, engineProfile).  The field also turns the
+ * chosen sink on (enables the tracer or causal log, configures the
+ * timeline recorder); a sink that is still off records nothing.
+ * File fields write their artifacts either way, and
+ * Outcome::decomposition, timeline, stats and engineProfile are
+ * filled from whichever sink the run used.
  */
-Outcome runExperiment(const Experiment &exp);
-
-/**
- * As above, but record into caller-supplied sinks: @p tracer (enable
- * it first) receives the event timeline for in-process inspection —
- * busyByTrack()/busyByName() turn it into utilization and activity
- * breakdowns — and @p metrics receives the counters/gauges/histograms.
- * Either may be null.  `traceFile`/`metricsFile` still write files
- * when set.
- */
-Outcome runExperiment(const Experiment &exp, trace::Tracer *tracer,
-                      metrics::Registry *metrics);
-
-/**
- * As above with an engine-profiler sink: a non-null @p engineProf
- * profiles the run (whether or not exp.engineProfile is set) and can
- * be inspected by the caller afterwards — the per-run isolation hook
- * SweepRunner::runWithSinks uses.  Outcome::engineProfile receives a
- * copy either way.
- */
-Outcome runExperiment(const Experiment &exp, trace::Tracer *tracer,
-                      metrics::Registry *metrics,
-                      obs::EngineProfiler *engineProf);
+Outcome runExperiment(const Experiment &exp,
+                      const obs::Sinks &sinks = {});
 
 } // namespace hsipc::sim
 

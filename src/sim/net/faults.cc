@@ -4,13 +4,13 @@ namespace hsipc::sim
 {
 
 void
-FaultInjector::attachTracer(trace::Tracer *t, const EventQueue *c)
+FaultInjector::attach(const obs::Sinks &s, const EventQueue *c)
 {
-    tracer = t;
+    tracer = s.tracer;
     clock = c;
-    traceTrack = t ? t->track("medium") : -1;
-    if (!t || !t->enabled())
+    if (!tracer)
         return;
+    traceTrack = tracer->track("medium");
     // Crash windows are scheduled, not random: record their edges up
     // front so the timeline shows the outage before any packet hits it.
     for (const CrashWindow &w : plan.crashes) {
@@ -18,17 +18,17 @@ FaultInjector::attachTracer(trace::Tracer *t, const EventQueue *c)
         // GCC 12 -Wrestrict false positive when inlined.
         std::string node = "n";
         node += std::to_string(w.node);
-        t->instant(traceTrack, node + " crash", usToTicks(w.startUs),
-                   "crash");
-        t->instant(traceTrack, node + " recover", usToTicks(w.endUs),
-                   "crash");
+        tracer->instant(traceTrack, node + " crash",
+                        usToTicks(w.startUs), "crash");
+        tracer->instant(traceTrack, node + " recover",
+                        usToTicks(w.endUs), "crash");
     }
 }
 
 void
 FaultInjector::note(const char *event)
 {
-    if (tracer && tracer->enabled() && clock)
+    if (tracer)
         tracer->instant(traceTrack, event, clock->now(), "fault");
 }
 

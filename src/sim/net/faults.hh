@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/obs/sinks.hh"
 #include "common/rng.hh"
 #include "common/time.hh"
 #include "common/trace/tracer.hh"
@@ -89,12 +90,13 @@ class FaultInjector
     {}
 
     /**
-     * Trace every injected fault as an instant on a "medium" track,
-     * timestamped from @p clock.  Scheduled crash windows are
-     * recorded up front (crash/recover instants).  Observational
-     * only: the injector's random draws are unchanged.
+     * Record into @p s: with a tracer, every injected fault becomes an
+     * instant on a "medium" track, timestamped from @p clock, and
+     * scheduled crash windows are recorded up front (crash/recover
+     * instants).  Observational only: the injector's random draws are
+     * unchanged.
      */
-    void attachTracer(trace::Tracer *t, const EventQueue *clock);
+    void attach(const obs::Sinks &s, const EventQueue *clock);
 
     /**
      * Decide the fate of one packet entering the medium: each returned
@@ -124,7 +126,7 @@ class FaultInjector
     FaultPlan plan;
     Rng rng;
     Stats counts;
-    trace::Tracer *tracer = nullptr;
+    trace::Tracer *tracer = nullptr; //!< non-null only when enabled
     int traceTrack = -1;
     const EventQueue *clock = nullptr;
 };

@@ -8,11 +8,35 @@
 namespace hsipc::sim
 {
 
+ReliableChannel::ReliableChannel(EventQueue &eq, const Config &cfg,
+                                 FaultInjector &faults, Hooks hooks,
+                                 const obs::Sinks &sinks)
+    : eq(eq), cfg(cfg), faults(faults), hooks(std::move(hooks)),
+      tracer(sinks.tracer), timeline(sinks.timeline)
+{
+    if (tracer)
+        traceTrack = tracer->track("net.n" + std::to_string(cfg.srcNode) +
+                                   "->n" + std::to_string(cfg.dstNode));
+    if (timeline) {
+        tlDataTx = &timeline->counter("net.dataTransmissions");
+        tlRetx = &timeline->counter("net.retransmissions");
+        tlDelivered = &timeline->counter("net.delivered");
+        tlAcks = &timeline->counter("net.acksSent");
+    }
+}
+
 void
 ReliableChannel::note(const char *event, long msgId)
 {
-    if (tracer && tracer->enabled())
+    if (tracer)
         tracer->instant(traceTrack, event, eq.now(), "proto", msgId);
+}
+
+void
+ReliableChannel::tally(obs::TimelineRecorder::Series *s, double n)
+{
+    if (timeline)
+        timeline->add(*s, eq.now(), n);
 }
 
 void
@@ -33,7 +57,7 @@ ReliableChannel::pump()
         backlog.pop_front();
         transmit(seq, false);
     }
-    if (tracer && tracer->enabled())
+    if (tracer)
         tracer->counter(traceTrack, "inFlight", eq.now(),
                         static_cast<double>(inFlight()));
 }
@@ -54,11 +78,11 @@ ReliableChannel::transmit(long seq, bool retransmit)
     if (it == unacked.end())
         return;
     ++counts.dataTransmissions;
-    observe("dataTx", 1);
+    tally(tlDataTx, 1);
     if (retransmit) {
         const long by = 1 + check::testHooks().retransmissionMiscount;
         counts.retransmissions += by;
-        observe("retx", static_cast<double>(by));
+        tally(tlRetx, static_cast<double>(by));
     }
     // Every copy of the packet carries the original message's id, so
     // a recovery chain (timeout, resend, late delivery) stays one
@@ -168,7 +192,7 @@ ReliableChannel::arriveData(long seq, bool corrupted)
             while (receivedAhead.erase(nextExpected) > 0)
                 ++nextExpected;
             ++counts.delivered;
-            observe("deliver", 1);
+            tally(tlDelivered, 1);
             // First delivery of this sequence number (later copies
             // take the dupDrop path above), so the callback can be
             // moved out rather than copied.
@@ -183,7 +207,7 @@ void
 ReliableChannel::sendAck()
 {
     ++counts.acksSent;
-    observe("ack", 1);
+    tally(tlAcks, 1);
     note("ack");
     hooks.exec(
         cfg.dstNode, "protoAck", cfg.ackProcUs, prioInterrupt,

@@ -33,6 +33,8 @@
 #include <map>
 #include <set>
 
+#include "common/obs/sinks.hh"
+#include "common/obs/timeline.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/net/faults.hh"
 
@@ -101,38 +103,16 @@ class ReliableChannel
         long acksSent = 0;
     };
 
+    /**
+     * Records into the non-null members of @p sinks: a trace track
+     * "net.n<src>->n<dst>" of protocol instants and window occupancy,
+     * and the timeline's net.* counter series, each bumped where its
+     * Stats counter moves so it integrates exactly to the ledger.
+     * Observational only.
+     */
     ReliableChannel(EventQueue &eq, const Config &cfg,
-                    FaultInjector &faults, Hooks hooks)
-        : eq(eq), cfg(cfg), faults(faults), hooks(std::move(hooks))
-    {}
-
-    /**
-     * Record this channel's protocol events (send/retransmit/timeout/
-     * ack/deliver/discard instants, window occupancy) as a track
-     * named @p trackName in @p t.  Observational only.
-     */
-    void
-    attachTracer(trace::Tracer *t, const std::string &trackName)
-    {
-        tracer = t;
-        traceTrack = t ? t->track(trackName) : -1;
-    }
-
-    /**
-     * Per-event observer for windowed timelines: called with a
-     * stable event key ("dataTx", "retx", "deliver", "ack") and the
-     * amount the matching Stats counter grew by, at the simulated
-     * instant the counter moved.  Observational only — binning these
-     * calls by timestamp is what makes a timeline series' integral
-     * equal the whole-run ledger exactly.
-     */
-    using EventObserver =
-        std::function<void(const char *event, double n)>;
-
-    void setEventObserver(EventObserver cb)
-    {
-        observer = std::move(cb);
-    }
+                    FaultInjector &faults, Hooks hooks,
+                    const obs::Sinks &sinks = {});
 
     /**
      * Reliably deliver one message; @p deliver fires at the receiving
@@ -178,22 +158,20 @@ class ReliableChannel
     void arriveAck(long ackNum, bool corrupted);
     Tick rto(int retries) const;
     void note(const char *event, long msgId = 0);
-
-    void
-    observe(const char *event, double n)
-    {
-        if (observer)
-            observer(event, n);
-    }
+    void tally(obs::TimelineRecorder::Series *s, double n);
 
     EventQueue &eq;
     Config cfg;
     FaultInjector &faults;
     Hooks hooks;
     Stats counts;
-    trace::Tracer *tracer = nullptr;
+    trace::Tracer *tracer = nullptr; //!< non-null only when enabled
     int traceTrack = -1;
-    EventObserver observer; //!< null unless a timeline is recording
+    obs::TimelineRecorder *timeline = nullptr; //!< null when off
+    obs::TimelineRecorder::Series *tlDataTx = nullptr;
+    obs::TimelineRecorder::Series *tlRetx = nullptr;
+    obs::TimelineRecorder::Series *tlDelivered = nullptr;
+    obs::TimelineRecorder::Series *tlAcks = nullptr;
 
     // Sender state.
     long nextSeq = 0;    //!< next sequence number to assign

@@ -13,21 +13,21 @@ Processor::charge(Tick t, bool accessWait)
     hsipc_assert(running);
     perActivity[running->act.name] += t;
     const long msg = running->act.msgId;
-    if (tracer && tracer->enabled() && t > 0) {
+    if (sinks.tracer && t > 0) {
         // The first charge of a message-serving activity is where its
         // flow arrow lands: inside the span recorded just below.
         if (msg != 0 && !running->flowed) {
             running->flowed = true;
-            tracer->flowStep(traceTrack, "msg", eq.now(), msg);
+            sinks.tracer->flowStep(traceTrack, "msg", eq.now(), msg);
         }
-        tracer->complete(traceTrack, running->act.name, eq.now(), t,
-                         "activity", msg);
+        sinks.tracer->complete(traceTrack, running->act.name, eq.now(),
+                               t, "activity", msg);
     }
     // Access-wait charges stay off the causal log: the bus records
     // that microsecond as the message's service itself.
-    if (causal && causal->enabled() && msg != 0 && !accessWait)
-        causal->interval(msg, name, trace::Component::Service,
-                         eq.now(), eq.now() + t);
+    if (sinks.causal && msg != 0 && !accessWait)
+        sinks.causal->interval(msg, name, trace::Component::Service,
+                               eq.now(), eq.now() + t);
 }
 
 void
@@ -95,10 +95,10 @@ Processor::segment()
         const Tick chunk = std::min(running->chunk, running->cpuLeft);
         running->cpuLeft -= chunk;
         charge(chunk);
-        if (prof)
-            prof->edge(profOrigin, chunk);
+        if (sinks.profiler)
+            sinks.profiler->edge(profOrigin, chunk);
         eq.scheduleAfter(chunk, [this]() {
-            obs::EngineProfiler::Scope s(prof, profOrigin);
+            obs::EngineProfiler::Scope s(sinks.profiler, profOrigin);
             // Alternate between the two partitions when both remain.
             Resource *bus;
             if (running->memLeft > 0 &&
@@ -113,8 +113,8 @@ Processor::segment()
             charge(tickUs, true); // the processor waits on its access
             bus->acquire(running->act.priority, tickUs,
                          [this]() {
-                             obs::EngineProfiler::Scope s(prof,
-                                                          profOrigin);
+                             obs::EngineProfiler::Scope s(
+                                 sinks.profiler, profOrigin);
                              segment();
                          },
                          running->act.msgId);
@@ -125,10 +125,10 @@ Processor::segment()
     const Tick tail = running->cpuLeft;
     running->cpuLeft = 0;
     charge(tail);
-    if (prof)
-        prof->edge(profOrigin, tail);
+    if (sinks.profiler)
+        sinks.profiler->edge(profOrigin, tail);
     eq.scheduleAfter(tail, [this]() {
-        obs::EngineProfiler::Scope s(prof, profOrigin);
+        obs::EngineProfiler::Scope s(sinks.profiler, profOrigin);
         finish();
     });
 }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/obs/sinks.hh"
 #include "common/trace/critical_path.hh"
 #include "common/trace/tracer.hh"
 #include "sim/des/event_queue.hh"
@@ -66,41 +67,20 @@ class Processor
     void submit(Activity act);
 
     /**
-     * Record this processor's busy time as a track in @p t: one span
-     * per charged CPU chunk or memory-access wait, labelled with the
-     * activity name (the tracer merges abutting same-name spans, so
-     * uncontended activities appear as single spans).  Observational
-     * only — tracing never changes scheduling.
+     * Record into the non-null members of @p s: a trace track of one
+     * span per charged CPU chunk or memory-access wait, named after
+     * the activity (abutting same-name spans merge); a causal Service
+     * interval per CPU chunk of an activity with a msgId (not the
+     * 1-us bus-access wait, which the bus attributes itself); and the
+     * profiler's attribution of this processor's events and
+     * self-continuation edges.  Observational only.
      */
     void
-    attachTracer(trace::Tracer *t)
+    attach(const obs::Sinks &s)
     {
-        tracer = t;
-        traceTrack = t ? t->track(name) : -1;
-    }
-
-    /**
-     * Report per-message service intervals into @p log: every CPU
-     * chunk charged for an activity with a msgId becomes a Service
-     * interval on this processor's name.  (The 1-us charge a
-     * processor takes while waiting on a bus access is *not*
-     * reported — the bus attributes that microsecond itself, so the
-     * message's timeline has no double-covered instant.)
-     * Observational only.
-     */
-    void attachCausalLog(trace::CausalLog *log) { causal = log; }
-
-    /**
-     * Attribute this processor's segment/finish events to it in
-     * @p p's wall-clock cost model, and record provenance edges for
-     * its self-continuations (CPU chunks, the activity tail).
-     * Observational only.
-     */
-    void
-    attachProfiler(obs::EngineProfiler *p)
-    {
-        prof = p;
-        profOrigin = p ? p->origin(name) : 0;
+        sinks = s;
+        traceTrack = s.tracer ? s.tracer->track(name) : -1;
+        profOrigin = s.profiler ? s.profiler->origin(name) : 0;
     }
 
     /** Trace track id, -1 when no tracer is attached. */
@@ -164,9 +144,7 @@ class Processor
 
     EventQueue &eq;
     std::string name;
-    trace::Tracer *tracer = nullptr;
-    trace::CausalLog *causal = nullptr;
-    obs::EngineProfiler *prof = nullptr;
+    obs::Sinks sinks; //!< enabled sinks; null members are off
     int profOrigin = 0;
     int traceTrack = -1;
     void charge(Tick t, bool accessWait = false);

@@ -39,31 +39,14 @@ statsJson(const trace::ComponentStats &s)
 std::vector<Outcome>
 SweepRunner::run(std::vector<Experiment> exps) const
 {
-    return runWithSinks(std::move(exps), nullptr, nullptr);
+    return runWithSinks(std::move(exps), {});
 }
 
 std::vector<Outcome>
-SweepRunner::runWithSinks(
-    std::vector<Experiment> exps,
-    const std::vector<trace::Tracer *> *tracers,
-    const std::vector<metrics::Registry *> *metrics) const
+SweepRunner::runWithSinks(std::vector<Experiment> exps,
+                          const std::vector<obs::Sinks> &sinks) const
 {
-    return runWithSinks(std::move(exps), tracers, metrics, nullptr);
-}
-
-std::vector<Outcome>
-SweepRunner::runWithSinks(
-    std::vector<Experiment> exps,
-    const std::vector<trace::Tracer *> *tracers,
-    const std::vector<metrics::Registry *> *metrics,
-    const std::vector<obs::EngineProfiler *> *profilers) const
-{
-    if (tracers)
-        hsipc_assert(tracers->size() == exps.size());
-    if (metrics)
-        hsipc_assert(metrics->size() == exps.size());
-    if (profilers)
-        hsipc_assert(profilers->size() == exps.size());
+    hsipc_assert(sinks.empty() || sinks.size() == exps.size());
 
     if (opts.seedBase != 0) {
         for (std::size_t i = 0; i < exps.size(); ++i)
@@ -73,11 +56,8 @@ SweepRunner::runWithSinks(
 
     std::vector<Outcome> outcomes(exps.size());
     parallel::parallelFor(opts.jobs, exps.size(), [&](std::size_t i) {
-        trace::Tracer *tracer = tracers ? (*tracers)[i] : nullptr;
-        metrics::Registry *reg = metrics ? (*metrics)[i] : nullptr;
-        obs::EngineProfiler *prof =
-            profilers ? (*profilers)[i] : nullptr;
-        outcomes[i] = runExperiment(exps[i], tracer, reg, prof);
+        outcomes[i] = runExperiment(
+            exps[i], sinks.empty() ? obs::Sinks{} : sinks[i]);
     });
     return outcomes;
 }

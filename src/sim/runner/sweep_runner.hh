@@ -15,8 +15,8 @@
  *
  * Observability isolation: a run that names traceFile/metricsFile
  * writes its own files exactly as it would serially; runs never share
- * a Tracer or Registry.  For in-process sinks, runWithSinks() gives
- * every run its own caller-constructed Tracer/Registry pair.
+ * a sink.  For in-process sinks, runWithSinks() gives every run its
+ * own caller-constructed obs::Sinks bundle.
  */
 
 #ifndef HSIPC_SIM_SWEEP_RUNNER_HH
@@ -62,33 +62,17 @@ class SweepRunner
     std::vector<Outcome> run(std::vector<Experiment> exps) const;
 
     /**
-     * As run(), but give run i the caller-supplied sinks
-     * (*tracers)[i] / (*metrics)[i] — per-run isolation the caller
-     * can inspect afterwards.  Either vector pointer may be null;
-     * non-null vectors must match exps in length (entries may be
-     * null to skip a run).
-     */
-    std::vector<Outcome>
-    runWithSinks(std::vector<Experiment> exps,
-                 const std::vector<trace::Tracer *> *tracers,
-                 const std::vector<metrics::Registry *> *metrics) const;
-
-    /**
-     * As runWithSinks(), additionally giving run i the engine
-     * profiler (*profilers)[i] — its own instance, never shared, so
-     * parallel sweeps profile without cross-run interference.  A
-     * non-null profiler is attached whether or not the Experiment
-     * sets engineProfile (it is the caller's isolation hook); null
-     * entries fall back to the knob.  The resulting per-run profiles
-     * land in each Outcome and merge associatively via
+     * As run(), but give run i the caller-supplied bundle sinks[i]
+     * (see runExperiment()) — per-run isolation the caller can
+     * inspect afterwards.  @p sinks is empty (every run uses only the
+     * sinks its Experiment asks for) or matches @p exps in length;
+     * bundles must not share a sink.  Per-run engine profiles land in
+     * each Outcome and merge associatively via
      * obs::EngineProfile::merge().
      */
     std::vector<Outcome>
-    runWithSinks(
-        std::vector<Experiment> exps,
-        const std::vector<trace::Tracer *> *tracers,
-        const std::vector<metrics::Registry *> *metrics,
-        const std::vector<obs::EngineProfiler *> *profilers) const;
+    runWithSinks(std::vector<Experiment> exps,
+                 const std::vector<obs::Sinks> &sinks) const;
 
     const SweepOptions &options() const { return opts; }
 

@@ -10,9 +10,8 @@ namespace hsipc::sim::topo
 {
 
 Network::Network(EventQueue &eq, const Topology &t,
-                 trace::Tracer *tr, obs::EngineProfiler *p)
-    : eq(eq), topo(t),
-      tracer(tr && tr->enabled() ? tr : nullptr), prof(p)
+                 const obs::Sinks &sinks)
+    : eq(eq), topo(t), tracer(sinks.tracer), prof(sinks.profiler)
 {
     hsipc_assert(topo.enabled());
     if (prof)

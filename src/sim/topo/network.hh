@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/obs/engine_prof.hh"
+#include "common/obs/sinks.hh"
 #include "common/trace/tracer.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/node/token_ring.hh"
@@ -61,12 +62,12 @@ class Network
 {
   public:
     /**
-     * @p tracer may be null (or disabled); @p prof may be null.
      * Every element the topology implies is built here — links,
      * routers, rings — so construction is the only allocation site.
+     * Of @p sinks (null members off) the fabric records into the
+     * tracer and the engine profiler.
      */
-    Network(EventQueue &eq, const Topology &t, trace::Tracer *tracer,
-            obs::EngineProfiler *prof);
+    Network(EventQueue &eq, const Topology &t, const obs::Sinks &sinks);
 
     /**
      * Route @p bytes from node @p src to node @p dst (src != dst);

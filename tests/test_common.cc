@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -235,6 +236,15 @@ TEST(Logging, WarnEveryRateLimits)
     EXPECT_EQ(cap.seen[0], "hot loop (occurrence 1)");
     EXPECT_EQ(cap.seen[1], "hot loop (occurrence 4)");
     EXPECT_EQ(cap.seen[2], "hot loop (occurrence 7)");
+}
+
+TEST(Artifact, FullDiskIsFatal)
+{
+    // /dev/full accepts the open and fails the write with ENOSPC; a
+    // small document only reaches it when the close flushes.
+    EXPECT_EXIT(writeArtifact("/dev/full", "{}\n", "test file"),
+                testing::ExitedWithCode(1),
+                "cannot write test file /dev/full");
 }
 
 } // namespace

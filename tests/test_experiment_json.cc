@@ -245,6 +245,13 @@ TEST(ExperimentJson, RejectsInvalidConfigurations)
     EXPECT_NE(rejection("{\"topology\": {\"nodes\": 1}}")
                   .find("topology nodes"),
               std::string::npos);
+    // A duration past maxDurationUs, or infinite after strtod, would
+    // overflow the conversion to Tick.
+    for (const char *huge : {"{\"local\": false, \"measureUs\": 1e300}",
+                             "{\"local\": false, \"measureUs\": 1e400}"})
+        EXPECT_NE(rejection(huge).find("measureUs must be finite"),
+                  std::string::npos)
+            << huge;
     // Every violation is listed, not just the first.
     const std::string both = rejection(
         "{\"packetBytes\": 0, \"retransmitWindow\": 0}");

@@ -4,7 +4,7 @@
  * window folds, and Chrome trace_event emission (against a golden
  * document and a JSON syntax checker); the metrics registry's
  * log2-bucket histograms; and — the load-bearing property — that
- * attaching a tracer or registry to the simulators changes no
+ * no combination of sinks attached to the simulators changes a
  * measured result.
  */
 
@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics/metrics.hh"
+#include "common/obs/sinks.hh"
 #include "common/obs/trace_sample.hh"
 #include "common/trace/tracer.hh"
 #include "core/gtpn/net.hh"
@@ -505,14 +506,17 @@ TEST(Observability, TracingDoesNotPerturbOutcome)
     trace::Tracer tr;
     tr.setEnabled(true);
     metrics::Registry reg;
-    const sim::Outcome traced = sim::runExperiment(e, &tr, &reg);
+    const sim::Outcome traced =
+        sim::runExperiment(e, {.tracer = &tr, .metrics = &reg});
 
     EXPECT_FALSE(tr.events().empty());
     EXPECT_GT(reg.counter("ipc.roundTrips").value(), 0);
     expectSameOutcome(plain, traced);
 }
 
-TEST(Observability, TracingDoesNotPerturbLocalRun)
+/** A short local Architecture I run: no medium, no reliability stack. */
+sim::Experiment
+localExperiment()
 {
     sim::Experiment e;
     e.arch = models::Arch::I;
@@ -521,11 +525,17 @@ TEST(Observability, TracingDoesNotPerturbLocalRun)
     e.computeUs = 1140;
     e.warmupUs = 20000;
     e.measureUs = 150000;
+    return e;
+}
+
+TEST(Observability, TracingDoesNotPerturbLocalRun)
+{
+    const sim::Experiment e = localExperiment();
     const sim::Outcome plain = sim::runExperiment(e);
 
     trace::Tracer tr;
     tr.setEnabled(true);
-    const sim::Outcome traced = sim::runExperiment(e, &tr, nullptr);
+    const sim::Outcome traced = sim::runExperiment(e, {.tracer = &tr});
     expectSameOutcome(plain, traced);
 }
 
@@ -548,7 +558,8 @@ TEST(Observability, DecompositionDoesNotPerturbOutcome)
     trace::Tracer tr;
     tr.setEnabled(true);
     metrics::Registry reg;
-    const sim::Outcome traced = sim::runExperiment(e, &tr, &reg);
+    const sim::Outcome traced =
+        sim::runExperiment(e, {.tracer = &tr, .metrics = &reg});
     expectSameOutcome(decomposed, traced);
     // The component latency histograms landed in the registry.
     EXPECT_GT(reg.histogram("lat.roundTripUs").count(), 0);
@@ -557,12 +568,133 @@ TEST(Observability, DecompositionDoesNotPerturbOutcome)
               decomposed.decomposition.messages);
 }
 
+/** The sinks a SinkCombination parameter turns on, one bit each. */
+enum SinkBit : int
+{
+    kTracer = 1,
+    kMetrics = 2,
+    kDecomposition = 4,
+    kTimeline = 8,
+    kEngineProfile = 16,
+};
+
+/** outcomeJson + topoJson without the fields the sinks fill. */
+std::string
+simulatedJson(sim::Outcome o)
+{
+    o.decomposition = trace::Decomposition();
+    o.timeline = obs::Timeline();
+    o.stats = obs::SteadyStats();
+    o.engineProfile = obs::EngineProfile();
+    return sim::outcomeJson(o) + sim::topoJson(o);
+}
+
+/**
+ * Every combination of the five sinks observes and never perturbs:
+ * the simulated results stay byte-identical to the all-off run, and
+ * each sink that is on records something.  The tracer and registry
+ * are caller-supplied; decomposition, timeline and engine profile
+ * are turned on by their Experiment fields.
+ */
+class SinkCombination : public testing::TestWithParam<int>
+{};
+
+TEST_P(SinkCombination, ObservesNeverPerturbs)
+{
+    const int mask = GetParam();
+    for (const sim::Experiment &base :
+         {lossyExperiment(), localExperiment()}) {
+        SCOPED_TRACE(base.local ? "local run" : "lossy run");
+        const sim::Outcome off = sim::runExperiment(base);
+
+        sim::Experiment e = base;
+        e.decomposeLatency = (mask & kDecomposition) != 0;
+        e.timelineIntervalUs = (mask & kTimeline) ? 5000 : 0;
+        e.engineProfile = (mask & kEngineProfile) != 0;
+        trace::Tracer tr;
+        tr.setEnabled(true);
+        metrics::Registry reg;
+        obs::Sinks sinks;
+        if (mask & kTracer)
+            sinks.tracer = &tr;
+        if (mask & kMetrics)
+            sinks.metrics = &reg;
+        const sim::Outcome on = sim::runExperiment(e, sinks);
+
+        EXPECT_EQ(simulatedJson(on), simulatedJson(off));
+        expectSameOutcome(off, on, /*includeDecomposition=*/false);
+
+        // The timeline sections only extend the document: every
+        // field before them renders identically.
+        sim::Outcome onNoDecomposition = on;
+        onNoDecomposition.decomposition = trace::Decomposition();
+        const std::string offDoc = sim::outcomeJson(off);
+        const std::string prefix = offDoc.substr(0, offDoc.size() - 3);
+        EXPECT_EQ(sim::outcomeJson(onNoDecomposition)
+                      .compare(0, prefix.size(), prefix),
+                  0);
+
+        EXPECT_EQ(!tr.events().empty(), (mask & kTracer) != 0);
+        if (mask & kMetrics) {
+            EXPECT_GT(reg.counter("ipc.roundTrips").value(), 0);
+        }
+        EXPECT_EQ(on.timeline.enabled(), (mask & kTimeline) != 0);
+        EXPECT_EQ(on.stats.enabled, (mask & kTimeline) != 0);
+        EXPECT_EQ(on.engineProfile.enabled,
+                  (mask & kEngineProfile) != 0);
+        if (mask & kEngineProfile) {
+            EXPECT_GT(on.engineProfile.pops, 0u);
+        }
+
+        if (!(mask & kDecomposition)) {
+            EXPECT_EQ(on.decomposition.messages, 0);
+            continue;
+        }
+        // The decomposition itself is reproduced bit for bit whatever
+        // else records alongside it.
+        sim::Experiment decompOnly = base;
+        decompOnly.decomposeLatency = true;
+        const sim::Outcome ref = sim::runExperiment(decompOnly);
+        EXPECT_GT(ref.decomposition.messages, 0);
+        EXPECT_EQ(on.decomposition, ref.decomposition);
+        if (mask & kMetrics) {
+            // Every component histogram and sketch saw each message
+            // the decomposition covers.
+            for (const char *name :
+                 {"lat.roundTripUs", "lat.serviceUs", "lat.queueUs",
+                  "lat.networkUs", "lat.blockedUs"}) {
+                EXPECT_EQ(reg.histogram(name).count(),
+                          on.decomposition.messages)
+                    << name;
+                EXPECT_EQ(reg.sketch(name).count(),
+                          on.decomposition.messages)
+                    << name;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSinks, SinkCombination, testing::Range(0, 32),
+    [](const testing::TestParamInfo<int> &info) {
+        std::string name;
+        for (const auto &[bit, label] :
+             {std::pair{kTracer, "tracer"}, std::pair{kMetrics, "metrics"},
+              std::pair{kDecomposition, "decomposition"},
+              std::pair{kTimeline, "timeline"},
+              std::pair{kEngineProfile, "engineProfile"}}) {
+            if (info.param & bit)
+                name += (name.empty() ? "" : "_") + std::string(label);
+        }
+        return name.empty() ? std::string("none") : name;
+    });
+
 TEST(Observability, SimEmitsFlowAndAsyncEvents)
 {
     sim::Experiment e = lossyExperiment();
     trace::Tracer tr;
     tr.setEnabled(true);
-    const sim::Outcome o = sim::runExperiment(e, &tr, nullptr);
+    const sim::Outcome o = sim::runExperiment(e, {.tracer = &tr});
     ASSERT_GT(o.roundTrips, 0);
 
     long flowStarts = 0, flowSteps = 0, flowEnds = 0;
@@ -600,7 +732,7 @@ TEST(Observability, ResourceUtilizationMatchesTrace)
     const sim::Experiment e = lossyExperiment();
     trace::Tracer tr;
     tr.setEnabled(true);
-    const sim::Outcome o = sim::runExperiment(e, &tr, nullptr);
+    const sim::Outcome o = sim::runExperiment(e, {.tracer = &tr});
 
     const Tick warm = usToTicks(e.warmupUs);
     const Tick end = warm + usToTicks(e.measureUs);
@@ -887,7 +1019,7 @@ TEST(Timeline, CounterTrackInChromeTrace)
     e.timelineIntervalUs = 10000;
     trace::Tracer tr;
     tr.setEnabled(true);
-    const sim::Outcome o = sim::runExperiment(e, &tr, nullptr);
+    const sim::Outcome o = sim::runExperiment(e, {.tracer = &tr});
     ASSERT_TRUE(o.timeline.enabled());
 
     // The timeline mirrors each bin onto one Perfetto counter track
@@ -951,7 +1083,7 @@ TEST(TraceSampling, FlowAndAsyncEventsSampledAtomically)
     e.traceSampleRate = 0.35;
     trace::Tracer tr;
     tr.setEnabled(true);
-    sim::runExperiment(e, &tr, nullptr);
+    sim::runExperiment(e, {.tracer = &tr});
 
     // Per message id the whole arrow chain survives or none of it:
     // any flow trail starts with a FlowStart, and async lifetimes
@@ -992,7 +1124,7 @@ TEST(TraceSampling, FlowAndAsyncEventsSampledAtomically)
     trace::Tracer trFull;
     trFull.setEnabled(true);
     sim::Experiment f = lossyExperiment();
-    sim::runExperiment(f, &trFull, nullptr);
+    sim::runExperiment(f, {.tracer = &trFull});
     std::set<long> fullIds, sampledIds;
     for (const trace::Event &ev : trFull.events())
         if (ev.phase == trace::Phase::FlowStart)

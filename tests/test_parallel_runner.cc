@@ -251,17 +251,15 @@ TEST(SweepRunner, InProcessSinksMatchSerialRun)
     auto runWith = [&exps](int jobs) {
         std::vector<trace::Tracer> tracers(exps.size());
         std::vector<metrics::Registry> regs(exps.size());
-        std::vector<trace::Tracer *> tp;
-        std::vector<metrics::Registry *> rp;
+        std::vector<obs::Sinks> sinks;
         for (std::size_t i = 0; i < exps.size(); ++i) {
             tracers[i].setEnabled(true);
-            tp.push_back(&tracers[i]);
-            rp.push_back(&regs[i]);
+            sinks.push_back({.tracer = &tracers[i], .metrics = &regs[i]});
         }
         sim::SweepOptions opts;
         opts.jobs = jobs;
         const std::vector<sim::Outcome> outs =
-            sim::SweepRunner(opts).runWithSinks(exps, &tp, &rp);
+            sim::SweepRunner(opts).runWithSinks(exps, sinks);
         std::string fp;
         for (std::size_t i = 0; i < exps.size(); ++i) {
             fp += sim::outcomeJson(outs[i]);
