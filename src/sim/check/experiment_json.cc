@@ -1,9 +1,14 @@
 #include "sim/check/experiment_json.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "common/json.hh"
 
@@ -25,45 +30,224 @@ exactNumber(double v)
     return buf;
 }
 
-double
-numberField(const JsonValue &v, const char *key)
+[[noreturn]] void
+typeError(const std::string &field, const char *want)
 {
-    const JsonValue &f = v.at(key);
-    if (f.kind() != JsonValue::Kind::Number)
-        throw std::runtime_error(std::string("experiment field '") +
-                                 key + "' must be a number");
-    return f.asNumber();
+    throw std::runtime_error(field + " must be " + want);
 }
 
-int
-intField(const JsonValue &v, const char *key)
-{
-    const double d = numberField(v, key);
-    const int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d)
-        throw std::runtime_error(std::string("experiment field '") +
-                                 key + "' must be an integer");
-    return i;
-}
+// --- Writing ------------------------------------------------------
 
-bool
-boolField(const JsonValue &v, const char *key)
+template <class T>
+std::string objectJson(const T &obj, bool multiline);
+
+std::string
+valueJson(bool v)
 {
-    const JsonValue &f = v.at(key);
-    if (f.kind() != JsonValue::Kind::Bool)
-        throw std::runtime_error(std::string("experiment field '") +
-                                 key + "' must be a boolean");
-    return f.asBool();
+    return v ? "true" : "false";
 }
 
 std::string
-stringField(const JsonValue &v, const char *key)
+valueJson(int v)
 {
-    const JsonValue &f = v.at(key);
-    if (f.kind() != JsonValue::Kind::String)
-        throw std::runtime_error(std::string("experiment field '") +
-                                 key + "' must be a string");
-    return f.asString();
+    return std::to_string(v);
+}
+
+std::string
+valueJson(double v)
+{
+    return exactNumber(v);
+}
+
+std::string
+valueJson(models::Arch a)
+{
+    return std::to_string(static_cast<int>(a));
+}
+
+// The seed is a full 64-bit value; a JSON number (double) only holds
+// 53 bits exactly, so it travels as a decimal string.
+std::string
+valueJson(std::uint64_t seed)
+{
+    return jsonString(std::to_string(seed));
+}
+
+std::string
+valueJson(const std::string &s)
+{
+    return jsonString(s);
+}
+
+std::string
+valueJson(const topo::Topology &t)
+{
+    return objectJson(t, false);
+}
+
+template <class T>
+std::string
+valueJson(const std::vector<T> &items)
+{
+    std::string out = "[";
+    for (const T &item : items)
+        out += (&item == &items.front() ? "" : ", ") +
+               objectJson(item, false);
+    return out + "]";
+}
+
+/**
+ * @p obj as a JSON object, its fields in table order: one per line
+ * for the top-level document, inline for nested objects.
+ */
+template <class T>
+std::string
+objectJson(const T &obj, bool multiline)
+{
+    std::string doc = "{";
+    const char *sep = "";
+    Fields<T>::forEach([&](const char *key, auto member, FieldUnit) {
+        const auto &value = obj.*member;
+        // The topology object appears only when configured, so every
+        // pre-topology document (and its golden bytes) is unchanged.
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     topo::Topology>)
+            if (value == topo::Topology{})
+                return;
+        doc += std::string(sep) + (multiline ? "\n  \"" : "\"") + key +
+               "\": " + valueJson(value);
+        sep = multiline ? "," : ", ";
+    });
+    return doc + (multiline ? "\n}" : "}");
+}
+
+// --- Reading ------------------------------------------------------
+
+template <class T>
+void readObject(const JsonValue &v, T &obj, const std::string &kind,
+                std::initializer_list<const char *> required = {});
+
+void
+readValue(const JsonValue &v, const std::string &field, bool &out)
+{
+    if (v.kind() != JsonValue::Kind::Bool)
+        typeError(field, "a boolean");
+    out = v.asBool();
+}
+
+void
+readValue(const JsonValue &v, const std::string &field, double &out)
+{
+    if (v.kind() != JsonValue::Kind::Number)
+        typeError(field, "a number");
+    out = v.asNumber();
+}
+
+void
+readValue(const JsonValue &v, const std::string &field, int &out)
+{
+    double d;
+    readValue(v, field, d);
+    if (!(d >= std::numeric_limits<int>::min() &&
+          d <= std::numeric_limits<int>::max()) ||
+        d != std::trunc(d))
+        typeError(field, "an integer");
+    out = static_cast<int>(d);
+}
+
+void
+readValue(const JsonValue &v, const std::string &field,
+          models::Arch &out)
+{
+    int a;
+    readValue(v, field, a);
+    out = static_cast<models::Arch>(a); // validate() checks the range
+}
+
+void
+readValue(const JsonValue &v, const std::string &field,
+          std::string &out)
+{
+    if (v.kind() != JsonValue::Kind::String)
+        typeError(field, "a string");
+    out = v.asString();
+}
+
+void
+readValue(const JsonValue &v, const std::string &field,
+          std::uint64_t &out)
+{
+    std::string s;
+    readValue(v, field, s);
+    char *end = nullptr;
+    out = std::strtoull(s.c_str(), &end, 10);
+    if (end == s.c_str() || *end != '\0')
+        typeError(field, "a decimal string");
+}
+
+void
+readValue(const JsonValue &v, const std::string &, topo::Topology &out)
+{
+    readObject(v, out, "topology");
+}
+
+template <class T>
+void
+readArray(const JsonValue &v, const std::string &field,
+          std::vector<T> &out, const std::string &kind,
+          std::initializer_list<const char *> required)
+{
+    if (v.kind() != JsonValue::Kind::Array)
+        typeError(field, "an array");
+    out.clear();
+    for (const JsonValue &item : v.asArray())
+        readObject(item, out.emplace_back(), kind, required);
+}
+
+void
+readValue(const JsonValue &v, const std::string &field,
+          std::vector<CrashWindow> &out)
+{
+    readArray(v, field, out, "crash window", {"node", "startUs", "endUs"});
+}
+
+void
+readValue(const JsonValue &v, const std::string &field,
+          std::vector<topo::TopoLink> &out)
+{
+    readArray(v, field, out, "topology link", {"a", "b"});
+}
+
+/**
+ * Fill @p obj from the JSON object @p v: keys its field table does not
+ * name are errors, absent keys keep their defaults unless @p required
+ * lists them.
+ */
+template <class T>
+void
+readObject(const JsonValue &v, T &obj, const std::string &kind,
+           std::initializer_list<const char *> required)
+{
+    if (!v.isObject())
+        throw std::runtime_error(kind + " must be a JSON object");
+    for (const auto &[key, value] : v.asObject()) {
+        bool known = false;
+        Fields<T>::forEach([&](const char *name, auto, FieldUnit) {
+            known |= key == name;
+        });
+        if (!known)
+            throw std::runtime_error("unknown " + kind + " field '" +
+                                     key + "'");
+    }
+    for (const char *key : required)
+        if (!v.has(key))
+            throw std::runtime_error(kind + " entries need '" +
+                                     std::string(key) + "'");
+    Fields<T>::forEach([&](const char *key, auto member, FieldUnit) {
+        if (v.has(key))
+            readValue(v.at(key), kind + " field '" + key + "'",
+                      obj.*member);
+    });
 }
 
 } // namespace
@@ -71,312 +255,14 @@ stringField(const JsonValue &v, const char *key)
 std::string
 experimentToJson(const Experiment &exp)
 {
-    std::string doc = "{";
-    bool first = true;
-    auto field = [&](const char *name, const std::string &rendered) {
-        doc += std::string(first ? "" : ",") + "\n  \"" + name +
-               "\": " + rendered;
-        first = false;
-    };
-    auto num = [&](const char *name, double v) {
-        field(name, exactNumber(v));
-    };
-    auto integer = [&](const char *name, long v) {
-        field(name, std::to_string(v));
-    };
-    auto boolean = [&](const char *name, bool v) {
-        field(name, v ? "true" : "false");
-    };
-
-    integer("arch", static_cast<long>(exp.arch));
-    boolean("local", exp.local);
-    integer("conversations", exp.conversations);
-    integer("mixedLocal", exp.mixedLocal);
-    integer("mixedRemote", exp.mixedRemote);
-    num("computeUs", exp.computeUs);
-    integer("hostsPerNode", exp.hostsPerNode);
-    boolean("extraCopy", exp.extraCopy);
-    num("mpSpeedFactor", exp.mpSpeedFactor);
-    integer("kernelBuffers", exp.kernelBuffers);
-    num("wireUs", exp.wireUs);
-    boolean("useTokenRing", exp.useTokenRing);
-    num("ringMbps", exp.ringMbps);
-    integer("packetBytes", exp.packetBytes);
-    num("warmupUs", exp.warmupUs);
-    num("measureUs", exp.measureUs);
-    // The seed is a full 64-bit value; a JSON number (double) only
-    // holds 53 bits exactly, so it travels as a decimal string.
-    field("seed", jsonString(std::to_string(exp.seed)));
-    num("lossRate", exp.lossRate);
-    num("corruptRate", exp.corruptRate);
-    num("duplicateRate", exp.duplicateRate);
-    num("reorderRate", exp.reorderRate);
-    num("reorderDelayUs", exp.reorderDelayUs);
-    num("retransmitTimeoutUs", exp.retransmitTimeoutUs);
-    integer("retransmitWindow", exp.retransmitWindow);
-    boolean("reliableProtocol", exp.reliableProtocol);
-    std::string crashes = "[";
-    for (std::size_t i = 0; i < exp.crashSchedule.size(); ++i) {
-        const CrashWindow &w = exp.crashSchedule[i];
-        crashes += std::string(i ? ", " : "") + "{\"node\": " +
-                   std::to_string(w.node) + ", \"startUs\": " +
-                   exactNumber(w.startUs) + ", \"endUs\": " +
-                   exactNumber(w.endUs) + "}";
-    }
-    field("crashSchedule", crashes + "]");
-    field("traceFile", jsonString(exp.traceFile));
-    field("metricsFile", jsonString(exp.metricsFile));
-    boolean("decomposeLatency", exp.decomposeLatency);
-    integer("arrivalMode", exp.arrivalMode);
-    num("arrivalRatePerSec", exp.arrivalRatePerSec);
-    num("paretoAlpha", exp.paretoAlpha);
-    num("paretoBound", exp.paretoBound);
-    num("deadlineUs", exp.deadlineUs);
-    integer("retryBudget", exp.retryBudget);
-    num("retryBackoffUs", exp.retryBackoffUs);
-    num("retryBackoffMaxUs", exp.retryBackoffMaxUs);
-    integer("svcQueueCap", exp.svcQueueCap);
-    integer("shedPolicy", exp.shedPolicy);
-    num("rtoMaxUs", exp.rtoMaxUs);
-    num("timelineIntervalUs", exp.timelineIntervalUs);
-    field("timelineFile", jsonString(exp.timelineFile));
-    num("traceSampleRate", exp.traceSampleRate);
-    boolean("engineProfile", exp.engineProfile);
-    field("engineProfileFile", jsonString(exp.engineProfileFile));
-    integer("queueKind", exp.queueKind);
-    integer("expectedPendingEvents", exp.expectedPendingEvents);
-    // The topology object appears only when configured, so every
-    // pre-topology document (and its golden bytes) is unchanged.
-    if (!(exp.topo == topo::Topology{})) {
-        std::string t =
-            "{\"nodes\": " + std::to_string(exp.topo.nodes) +
-            ", \"kind\": " + std::to_string(exp.topo.kind) +
-            ", \"linkLatencyUs\": " +
-            exactNumber(exp.topo.linkLatencyUs) +
-            ", \"linkMbps\": " + exactNumber(exp.topo.linkMbps) +
-            ", \"switchLatencyUs\": " +
-            exactNumber(exp.topo.switchLatencyUs) +
-            ", \"segments\": " + std::to_string(exp.topo.segments) +
-            ", \"segMbps\": " + exactNumber(exp.topo.segMbps) +
-            ", \"placement\": " + std::to_string(exp.topo.placement) +
-            ", \"zipfSkew\": " + exactNumber(exp.topo.zipfSkew) +
-            ", \"links\": [";
-        for (std::size_t i = 0; i < exp.topo.links.size(); ++i) {
-            const topo::TopoLink &l = exp.topo.links[i];
-            t += std::string(i ? ", " : "") + "{\"a\": " +
-                 std::to_string(l.a) + ", \"b\": " +
-                 std::to_string(l.b) + ", \"latencyUs\": " +
-                 exactNumber(l.latencyUs) + ", \"mbps\": " +
-                 exactNumber(l.mbps) + "}";
-        }
-        field("topology", t + "]}");
-    }
-    return doc + "\n}\n";
+    return objectJson(exp, true) + "\n";
 }
 
 Experiment
 experimentFromJson(const JsonValue &v)
 {
-    if (!v.isObject())
-        throw std::runtime_error(
-            "experiment document must be a JSON object");
-
-    static const std::set<std::string> known = {
-        "arch", "local", "conversations", "mixedLocal", "mixedRemote",
-        "computeUs", "hostsPerNode", "extraCopy", "mpSpeedFactor",
-        "kernelBuffers", "wireUs", "useTokenRing", "ringMbps",
-        "packetBytes", "warmupUs", "measureUs", "seed", "lossRate",
-        "corruptRate", "duplicateRate", "reorderRate",
-        "reorderDelayUs", "retransmitTimeoutUs", "retransmitWindow",
-        "reliableProtocol", "crashSchedule", "traceFile",
-        "metricsFile", "decomposeLatency", "arrivalMode",
-        "arrivalRatePerSec", "paretoAlpha", "paretoBound",
-        "deadlineUs", "retryBudget", "retryBackoffUs",
-        "retryBackoffMaxUs", "svcQueueCap", "shedPolicy", "rtoMaxUs",
-        "timelineIntervalUs", "timelineFile", "traceSampleRate",
-        "engineProfile", "engineProfileFile", "queueKind",
-        "expectedPendingEvents", "topology"};
-    for (const auto &[key, value] : v.asObject()) {
-        if (known.count(key) == 0)
-            throw std::runtime_error(
-                "unknown experiment field '" + key + "'");
-    }
-
     Experiment exp;
-    if (v.has("arch")) {
-        const int a = intField(v, "arch");
-        if (a < 1 || a > 4)
-            throw std::runtime_error(
-                "experiment field 'arch' must be 1..4");
-        exp.arch = static_cast<models::Arch>(a);
-    }
-    if (v.has("local"))
-        exp.local = boolField(v, "local");
-    if (v.has("conversations"))
-        exp.conversations = intField(v, "conversations");
-    if (v.has("mixedLocal"))
-        exp.mixedLocal = intField(v, "mixedLocal");
-    if (v.has("mixedRemote"))
-        exp.mixedRemote = intField(v, "mixedRemote");
-    if (v.has("computeUs"))
-        exp.computeUs = numberField(v, "computeUs");
-    if (v.has("hostsPerNode"))
-        exp.hostsPerNode = intField(v, "hostsPerNode");
-    if (v.has("extraCopy"))
-        exp.extraCopy = boolField(v, "extraCopy");
-    if (v.has("mpSpeedFactor"))
-        exp.mpSpeedFactor = numberField(v, "mpSpeedFactor");
-    if (v.has("kernelBuffers"))
-        exp.kernelBuffers = intField(v, "kernelBuffers");
-    if (v.has("wireUs"))
-        exp.wireUs = numberField(v, "wireUs");
-    if (v.has("useTokenRing"))
-        exp.useTokenRing = boolField(v, "useTokenRing");
-    if (v.has("ringMbps"))
-        exp.ringMbps = numberField(v, "ringMbps");
-    if (v.has("packetBytes"))
-        exp.packetBytes = intField(v, "packetBytes");
-    if (v.has("warmupUs"))
-        exp.warmupUs = numberField(v, "warmupUs");
-    if (v.has("measureUs"))
-        exp.measureUs = numberField(v, "measureUs");
-    if (v.has("seed")) {
-        const std::string s = stringField(v, "seed");
-        char *end = nullptr;
-        exp.seed = std::strtoull(s.c_str(), &end, 10);
-        if (end == s.c_str() || *end != '\0')
-            throw std::runtime_error(
-                "experiment field 'seed' must be a decimal string");
-    }
-    if (v.has("lossRate"))
-        exp.lossRate = numberField(v, "lossRate");
-    if (v.has("corruptRate"))
-        exp.corruptRate = numberField(v, "corruptRate");
-    if (v.has("duplicateRate"))
-        exp.duplicateRate = numberField(v, "duplicateRate");
-    if (v.has("reorderRate"))
-        exp.reorderRate = numberField(v, "reorderRate");
-    if (v.has("reorderDelayUs"))
-        exp.reorderDelayUs = numberField(v, "reorderDelayUs");
-    if (v.has("retransmitTimeoutUs"))
-        exp.retransmitTimeoutUs = numberField(v, "retransmitTimeoutUs");
-    if (v.has("retransmitWindow"))
-        exp.retransmitWindow = intField(v, "retransmitWindow");
-    if (v.has("reliableProtocol"))
-        exp.reliableProtocol = boolField(v, "reliableProtocol");
-    if (v.has("crashSchedule")) {
-        for (const JsonValue &wv : v.at("crashSchedule").asArray()) {
-            CrashWindow w;
-            w.node = intField(wv, "node");
-            w.startUs = numberField(wv, "startUs");
-            w.endUs = numberField(wv, "endUs");
-            exp.crashSchedule.push_back(w);
-        }
-    }
-    if (v.has("traceFile"))
-        exp.traceFile = stringField(v, "traceFile");
-    if (v.has("metricsFile"))
-        exp.metricsFile = stringField(v, "metricsFile");
-    if (v.has("decomposeLatency"))
-        exp.decomposeLatency = boolField(v, "decomposeLatency");
-    if (v.has("arrivalMode"))
-        exp.arrivalMode = intField(v, "arrivalMode");
-    if (v.has("arrivalRatePerSec"))
-        exp.arrivalRatePerSec = numberField(v, "arrivalRatePerSec");
-    if (v.has("paretoAlpha"))
-        exp.paretoAlpha = numberField(v, "paretoAlpha");
-    if (v.has("paretoBound"))
-        exp.paretoBound = numberField(v, "paretoBound");
-    if (v.has("deadlineUs"))
-        exp.deadlineUs = numberField(v, "deadlineUs");
-    if (v.has("retryBudget"))
-        exp.retryBudget = intField(v, "retryBudget");
-    if (v.has("retryBackoffUs"))
-        exp.retryBackoffUs = numberField(v, "retryBackoffUs");
-    if (v.has("retryBackoffMaxUs"))
-        exp.retryBackoffMaxUs = numberField(v, "retryBackoffMaxUs");
-    if (v.has("svcQueueCap"))
-        exp.svcQueueCap = intField(v, "svcQueueCap");
-    if (v.has("shedPolicy"))
-        exp.shedPolicy = intField(v, "shedPolicy");
-    if (v.has("rtoMaxUs"))
-        exp.rtoMaxUs = numberField(v, "rtoMaxUs");
-    if (v.has("timelineIntervalUs"))
-        exp.timelineIntervalUs = numberField(v, "timelineIntervalUs");
-    if (v.has("timelineFile"))
-        exp.timelineFile = stringField(v, "timelineFile");
-    if (v.has("traceSampleRate"))
-        exp.traceSampleRate = numberField(v, "traceSampleRate");
-    if (v.has("engineProfile"))
-        exp.engineProfile = boolField(v, "engineProfile");
-    if (v.has("engineProfileFile"))
-        exp.engineProfileFile = stringField(v, "engineProfileFile");
-    if (v.has("queueKind"))
-        exp.queueKind = intField(v, "queueKind");
-    if (v.has("expectedPendingEvents"))
-        exp.expectedPendingEvents =
-            intField(v, "expectedPendingEvents");
-    if (v.has("topology")) {
-        const JsonValue &tv = v.at("topology");
-        if (!tv.isObject())
-            throw std::runtime_error(
-                "experiment field 'topology' must be an object");
-        static const std::set<std::string> topoKnown = {
-            "nodes",    "kind",    "linkLatencyUs",
-            "linkMbps", "switchLatencyUs", "segments",
-            "segMbps",  "placement", "zipfSkew", "links"};
-        for (const auto &[key, value] : tv.asObject()) {
-            if (topoKnown.count(key) == 0)
-                throw std::runtime_error(
-                    "unknown topology field '" + key + "'");
-        }
-        if (tv.has("nodes"))
-            exp.topo.nodes = intField(tv, "nodes");
-        if (tv.has("kind"))
-            exp.topo.kind = intField(tv, "kind");
-        if (tv.has("linkLatencyUs"))
-            exp.topo.linkLatencyUs = numberField(tv, "linkLatencyUs");
-        if (tv.has("linkMbps"))
-            exp.topo.linkMbps = numberField(tv, "linkMbps");
-        if (tv.has("switchLatencyUs"))
-            exp.topo.switchLatencyUs =
-                numberField(tv, "switchLatencyUs");
-        if (tv.has("segments"))
-            exp.topo.segments = intField(tv, "segments");
-        if (tv.has("segMbps"))
-            exp.topo.segMbps = numberField(tv, "segMbps");
-        if (tv.has("placement"))
-            exp.topo.placement = intField(tv, "placement");
-        if (tv.has("zipfSkew"))
-            exp.topo.zipfSkew = numberField(tv, "zipfSkew");
-        if (tv.has("links")) {
-            for (const JsonValue &lv : tv.at("links").asArray()) {
-                if (!lv.isObject())
-                    throw std::runtime_error(
-                        "topology link entries must be objects");
-                static const std::set<std::string> linkKnown = {
-                    "a", "b", "latencyUs", "mbps"};
-                for (const auto &[key, value] : lv.asObject()) {
-                    if (linkKnown.count(key) == 0)
-                        throw std::runtime_error(
-                            "unknown topology link field '" + key +
-                            "'");
-                }
-                if (!lv.has("a") || !lv.has("b"))
-                    throw std::runtime_error(
-                        "topology link entries need both "
-                        "'a' and 'b'");
-                topo::TopoLink l;
-                l.a = intField(lv, "a");
-                l.b = intField(lv, "b");
-                if (lv.has("latencyUs"))
-                    l.latencyUs = numberField(lv, "latencyUs");
-                if (lv.has("mbps"))
-                    l.mbps = numberField(lv, "mbps");
-                exp.topo.links.push_back(l);
-            }
-        }
-    }
+    readObject(v, exp, "experiment");
     // A well-typed document can still name an impossible run; reject
     // it here, every violation listed, rather than let
     // runExperiment() abort on it.

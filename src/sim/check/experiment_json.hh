@@ -11,10 +11,19 @@
  * used for human-facing measurement output) and the seed travels as
  * a decimal string.
  *
- * Parsing is strict about unknown keys — a typo in a hand-edited
- * repro fails loudly instead of silently running the default knob.
- * Missing keys keep their Experiment defaults, so old repro files
- * stay loadable as the Experiment struct grows.
+ * Both directions walk the Experiment field table (Fields<> in
+ * sim/kernel/ipc_sim.hh): the document lists every field in table
+ * order under its table key, crash windows and topology link
+ * overrides as arrays of objects, and the topology object only when
+ * it differs from the default, so pre-topology documents keep their
+ * bytes.  A new field therefore needs no change here.
+ *
+ * Parsing is strict about unknown keys at every level — a typo in a
+ * hand-edited repro fails loudly instead of silently running the
+ * default knob.  Missing keys keep their Experiment defaults, so old
+ * repro files stay loadable as the Experiment struct grows; only a
+ * crash window (node, startUs, endUs) and a link override (a, b) have
+ * required keys.
  */
 
 #ifndef HSIPC_SIM_CHECK_EXPERIMENT_JSON_HH
@@ -33,9 +42,9 @@ std::string experimentToJson(const Experiment &exp);
 
 /**
  * Rebuild an Experiment from a parsed JSON object.  Throws
- * std::runtime_error on unknown keys or ill-typed values, and on a
- * configuration validate() rejects (the message lists every
- * violation).
+ * std::runtime_error on unknown or missing required keys, ill-typed
+ * values, and a configuration validate() rejects (the message lists
+ * every violation).
  */
 Experiment experimentFromJson(const JsonValue &v);
 

@@ -8,11 +8,15 @@
  * order, to reset the knob to its base value outright, and for
  * numeric knobs that refuse, bisects between the base value and the
  * current one for the closest-to-base value that still fails.  Crash
- * schedules shrink by dropping windows.  A candidate is accepted only
- * when the caller's predicate confirms it still fails, so the result
- * — while not globally minimal (greedy, single-knob moves) — is a
- * locally minimal repro: resetting any single knob further makes the
- * failure vanish.
+ * schedules and topology link overrides shrink by dropping entries.
+ * The knobs are the fields of the Experiment field table (Fields<> in
+ * sim/kernel/ipc_sim.hh), so a new field is shrunk and reported by
+ * knobDiff() without any change here.  A candidate validate() rejects
+ * is skipped without running it; any other is accepted only when the
+ * caller's predicate confirms it still fails, so the result — while
+ * not globally minimal (greedy, single-knob moves) — is a locally
+ * minimal repro: resetting any single knob further makes the failure
+ * vanish or the configuration invalid.
  *
  * The predicate decides what "still fails" means; passing "same
  * invariant id as the original failure" keeps the shrink anchored to
@@ -34,7 +38,11 @@ namespace hsipc::sim::check
 /** True when the candidate still exhibits the failure of interest. */
 using FailurePredicate = std::function<bool(const Experiment &)>;
 
-/** Names of the knobs on which @p exp differs from baseExperiment(). */
+/**
+ * Names of the knobs on which @p exp differs from baseExperiment():
+ * the scalar knobs grouped by type, then the topology fields as
+ * "topo.<key>", then the seed, the crash schedule and the file names.
+ */
 std::vector<std::string> knobDiff(const Experiment &exp);
 
 /** How many knobs differ from baseExperiment(). */
@@ -50,7 +58,8 @@ struct ShrinkResult
 
 /**
  * Minimize @p failing (for which @p stillFails must hold) using at
- * most @p maxRuns predicate evaluations.
+ * most @p maxRuns predicate evaluations; ShrinkResult::runsUsed counts
+ * only those, never a skipped invalid candidate.
  */
 ShrinkResult shrinkExperiment(const Experiment &failing,
                               const FailurePredicate &stillFails,

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -2117,6 +2119,28 @@ class Sim
     std::vector<double> rtSamples;
 };
 
+/**
+ * The costliest single activity a run can charge to a message
+ * coprocessor before dividing it by mpSpeedFactor: an MP step of the
+ * architecture's tables (plus the extra copy), a reliable-protocol
+ * step, or a robustness-layer step.
+ */
+double
+costliestMpActivityUs(const Experiment &exp)
+{
+    const ReliableChannel::Config rc;
+    double us = std::max({rc.sendProcUs, rc.recvProcUs, rc.ackProcUs,
+                          rc.timeoutProcUs, rpcAdmitUs, rpcShedUs,
+                          rpcDedupUs, rpcReplayUs, rpcRetryUs,
+                          rpcExpireUs, rpcOrphanUs});
+    for (const bool local : {true, false})
+        for (const models::Step &s : models::stepTable(exp.arch, local))
+            if (std::string_view(s.processor) == "MP")
+                us = std::max(us, s.processing +
+                                      (exp.extraCopy ? extraCopyUs : 0));
+    return us;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -2127,21 +2151,36 @@ validate(const Experiment &exp)
         if (!ok)
             errors.push_back(rule);
     };
-    const auto duration = [&need](const std::string &name, double us) {
-        need(std::isfinite(us) && us <= maxDurationUs,
-             name + " must be finite and at most maxDurationUs (1e12)");
+    // Every microsecond field of @p obj, per its field table.
+    const auto durations = [&need](const std::string &prefix,
+                                   const auto &obj) {
+        using T = std::decay_t<decltype(obj)>;
+        Fields<T>::forEach([&](const char *key, auto member,
+                               FieldUnit unit) {
+            if constexpr (std::is_same_v<
+                              std::decay_t<decltype(obj.*member)>,
+                              double>) {
+                const double us = obj.*member;
+                need(unit != FieldUnit::us ||
+                         (std::isfinite(us) && us <= maxDurationUs),
+                     prefix + key +
+                         " must be finite and at most maxDurationUs "
+                         "(1e12)");
+            }
+        });
     };
-    duration("computeUs", exp.computeUs);
-    duration("wireUs", exp.wireUs);
-    duration("warmupUs", exp.warmupUs);
-    duration("measureUs", exp.measureUs);
-    duration("reorderDelayUs", exp.reorderDelayUs);
-    duration("retransmitTimeoutUs", exp.retransmitTimeoutUs);
-    duration("deadlineUs", exp.deadlineUs);
-    duration("retryBackoffUs", exp.retryBackoffUs);
-    duration("retryBackoffMaxUs", exp.retryBackoffMaxUs);
-    duration("rtoMaxUs", exp.rtoMaxUs);
-    duration("timelineIntervalUs", exp.timelineIntervalUs);
+    // A rate derives the serialization time packetBytes * 8 / mbps,
+    // which must stay a bounded duration too; 0 Mb/s, where a field
+    // allows it, means no serialization.
+    const auto packetTime = [&](const std::string &name, double mbps) {
+        need(mbps <= 0 || exp.packetBytes * 8.0 / mbps <= maxDurationUs,
+             name + ": packet time packetBytes * 8 / rate must be at "
+                    "most maxDurationUs (1e12)");
+    };
+    durations("", exp);
+    const bool archOk =
+        exp.arch >= models::Arch::I && exp.arch <= models::Arch::IV;
+    need(archOk, "arch is 1 (I), 2 (II), 3 (III), or 4 (IV)");
     const bool mixed = exp.mixedLocal > 0 || exp.mixedRemote > 0;
     need(exp.conversations >= 1 || mixed,
          "need at least one conversation (or a mixed workload)");
@@ -2153,7 +2192,13 @@ validate(const Experiment &exp)
     need(exp.wireUs >= 0, "wireUs cannot be negative");
     need(exp.kernelBuffers >= 1, "need at least one kernel buffer per node");
     need(exp.mpSpeedFactor > 0, "mpSpeedFactor must be positive");
+    need(!archOk || exp.mpSpeedFactor <= 0 ||
+             costliestMpActivityUs(exp) / exp.mpSpeedFactor <=
+                 maxDurationUs,
+         "mpSpeedFactor: kernel costs divided by it must be at most "
+         "maxDurationUs (1e12)");
     need(exp.ringMbps > 0, "ringMbps must be positive");
+    packetTime("ringMbps", exp.ringMbps);
     need(exp.warmupUs >= 0, "warmupUs cannot be negative");
     need(exp.measureUs > 0, "measureUs must be positive");
     for (const auto &[name, rate] :
@@ -2171,12 +2216,16 @@ validate(const Experiment &exp)
              "crash node must name an existing node");
         need(w.startUs >= 0 && w.endUs > w.startUs,
              "crash window must be well-formed");
-        duration("crash window endUs", w.endUs);
+        durations("crash window ", w);
     }
     need(exp.arrivalMode >= 0 && exp.arrivalMode <= 2,
          "arrivalMode is 0 (closed), 1 (Poisson), or 2 (bounded Pareto)");
     if (exp.arrivalMode != 0) {
         need(exp.arrivalRatePerSec > 0, "open arrivals need a positive rate");
+        need(exp.arrivalRatePerSec <= 0 ||
+                 1e6 / exp.arrivalRatePerSec <= maxDurationUs,
+             "arrivalRatePerSec: the mean arrival gap 1e6 / rate must be "
+             "at most maxDurationUs (1e12)");
         need(!mixed,
              "open arrivals are incompatible with the mixed workload");
     }
@@ -2221,16 +2270,18 @@ validate(const Experiment &exp)
          "(hot-spot)");
     need(t.linkLatencyUs >= 0 && t.switchLatencyUs >= 0 && t.linkMbps >= 0,
          "link parameters cannot be negative");
-    duration("topology linkLatencyUs", t.linkLatencyUs);
-    duration("topology switchLatencyUs", t.switchLatencyUs);
+    durations("topology ", t);
+    packetTime("topology linkMbps", t.linkMbps);
     need(t.segments >= 1, "topology needs at least one ring segment");
     need(t.segMbps > 0, "segment ring rate must be positive");
+    packetTime("topology segMbps", t.segMbps);
     need(t.zipfSkew > 0, "hot-spot skew must be positive");
     for (const topo::TopoLink &l : t.links) {
         need(l.a >= 0 && l.b >= 0 && l.a != l.b && l.latencyUs >= 0 &&
                  l.mbps >= 0,
              "link override must be well-formed");
-        duration("link override latencyUs", l.latencyUs);
+        durations("link override ", l);
+        packetTime("link override mbps", l.mbps);
     }
     need(!mixed,
          "the topology layer is incompatible with the mixed workload");

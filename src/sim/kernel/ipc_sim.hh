@@ -243,6 +243,134 @@ struct Experiment
 };
 
 /**
+ * Whether a configuration field holds microseconds; validate() keeps
+ * every such field finite and at most maxDurationUs.
+ */
+enum class FieldUnit { none, us };
+
+/**
+ * The field table of one configuration struct: Fields<T>::forEach(f)
+ * calls f(key, &T::member, unit) once per field, in JSON document
+ * order, where key is the field's JSON name.  It is the one list of
+ * fields: the JSON writer and reader (sim/check/experiment_json.hh),
+ * knobDiff and the shrinker (sim/check/shrink.hh) and validate()'s
+ * duration rule are all built on it, so a new Experiment field needs
+ * its member and one line here.
+ */
+template <class T>
+struct Fields;
+
+template <>
+struct Fields<Experiment>
+{
+    template <class F>
+    static void
+    forEach(F &&f)
+    {
+        using E = Experiment;
+        constexpr FieldUnit none = FieldUnit::none;
+        constexpr FieldUnit us = FieldUnit::us;
+        f("arch", &E::arch, none);
+        f("local", &E::local, none);
+        f("conversations", &E::conversations, none);
+        f("mixedLocal", &E::mixedLocal, none);
+        f("mixedRemote", &E::mixedRemote, none);
+        f("computeUs", &E::computeUs, us);
+        f("hostsPerNode", &E::hostsPerNode, none);
+        f("extraCopy", &E::extraCopy, none);
+        f("mpSpeedFactor", &E::mpSpeedFactor, none);
+        f("kernelBuffers", &E::kernelBuffers, none);
+        f("wireUs", &E::wireUs, us);
+        f("useTokenRing", &E::useTokenRing, none);
+        f("ringMbps", &E::ringMbps, none);
+        f("packetBytes", &E::packetBytes, none);
+        f("warmupUs", &E::warmupUs, us);
+        f("measureUs", &E::measureUs, us);
+        f("seed", &E::seed, none);
+        f("lossRate", &E::lossRate, none);
+        f("corruptRate", &E::corruptRate, none);
+        f("duplicateRate", &E::duplicateRate, none);
+        f("reorderRate", &E::reorderRate, none);
+        f("reorderDelayUs", &E::reorderDelayUs, us);
+        f("retransmitTimeoutUs", &E::retransmitTimeoutUs, us);
+        f("retransmitWindow", &E::retransmitWindow, none);
+        f("reliableProtocol", &E::reliableProtocol, none);
+        f("crashSchedule", &E::crashSchedule, none);
+        f("traceFile", &E::traceFile, none);
+        f("metricsFile", &E::metricsFile, none);
+        f("decomposeLatency", &E::decomposeLatency, none);
+        f("arrivalMode", &E::arrivalMode, none);
+        f("arrivalRatePerSec", &E::arrivalRatePerSec, none);
+        f("paretoAlpha", &E::paretoAlpha, none);
+        f("paretoBound", &E::paretoBound, none);
+        f("deadlineUs", &E::deadlineUs, us);
+        f("retryBudget", &E::retryBudget, none);
+        f("retryBackoffUs", &E::retryBackoffUs, us);
+        f("retryBackoffMaxUs", &E::retryBackoffMaxUs, us);
+        f("svcQueueCap", &E::svcQueueCap, none);
+        f("shedPolicy", &E::shedPolicy, none);
+        f("rtoMaxUs", &E::rtoMaxUs, us);
+        f("timelineIntervalUs", &E::timelineIntervalUs, us);
+        f("timelineFile", &E::timelineFile, none);
+        f("traceSampleRate", &E::traceSampleRate, none);
+        f("engineProfile", &E::engineProfile, none);
+        f("engineProfileFile", &E::engineProfileFile, none);
+        f("queueKind", &E::queueKind, none);
+        f("expectedPendingEvents", &E::expectedPendingEvents, none);
+        f("topology", &E::topo, none);
+    }
+};
+
+template <>
+struct Fields<topo::Topology>
+{
+    template <class F>
+    static void
+    forEach(F &&f)
+    {
+        using T = topo::Topology;
+        f("nodes", &T::nodes, FieldUnit::none);
+        f("kind", &T::kind, FieldUnit::none);
+        f("linkLatencyUs", &T::linkLatencyUs, FieldUnit::us);
+        f("linkMbps", &T::linkMbps, FieldUnit::none);
+        f("switchLatencyUs", &T::switchLatencyUs, FieldUnit::us);
+        f("segments", &T::segments, FieldUnit::none);
+        f("segMbps", &T::segMbps, FieldUnit::none);
+        f("placement", &T::placement, FieldUnit::none);
+        f("zipfSkew", &T::zipfSkew, FieldUnit::none);
+        f("links", &T::links, FieldUnit::none);
+    }
+};
+
+template <>
+struct Fields<topo::TopoLink>
+{
+    template <class F>
+    static void
+    forEach(F &&f)
+    {
+        using L = topo::TopoLink;
+        f("a", &L::a, FieldUnit::none);
+        f("b", &L::b, FieldUnit::none);
+        f("latencyUs", &L::latencyUs, FieldUnit::us);
+        f("mbps", &L::mbps, FieldUnit::none);
+    }
+};
+
+template <>
+struct Fields<CrashWindow>
+{
+    template <class F>
+    static void
+    forEach(F &&f)
+    {
+        f("node", &CrashWindow::node, FieldUnit::none);
+        f("startUs", &CrashWindow::startUs, FieldUnit::us);
+        f("endUs", &CrashWindow::endUs, FieldUnit::us);
+    }
+};
+
+/**
  * True when any robustness knob is active — the single gate the
  * simulator, the invariant oracle, and the differential harness share
  * (the differential models cover only the classic closed workload).
@@ -436,10 +564,13 @@ struct Outcome
 };
 
 /**
- * Ceiling on every microsecond-valued Experiment field: 1e12 us, about
- * 11.6 days of simulated time.  validate() rejects a larger (or a
- * non-finite) duration, so every conversion to Tick and every sum of
- * a few durations stays far inside Tick's range (about 9.2e15 us).
+ * Ceiling on every microsecond-valued Experiment field and on every
+ * duration a field derives (packet time packetBytes * 8 / rate, the
+ * mean open-arrival gap, a kernel cost divided by mpSpeedFactor):
+ * 1e12 us, about 11.6 days of simulated time.  validate() rejects a
+ * larger (or a non-finite) duration, so every conversion to Tick and
+ * every sum of a few durations stays far inside Tick's range (about
+ * 9.2e15 us).
  */
 constexpr double maxDurationUs = 1e12;
 

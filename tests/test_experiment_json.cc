@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +172,20 @@ TEST(ExperimentJson, RejectsUnknownAndIllTyped)
                  std::runtime_error);
     EXPECT_THROW(experimentFromJsonText("[1, 2]"),
                  std::runtime_error);
+    // An integer field rejects a number outside int's range instead
+    // of converting it.
+    EXPECT_THROW(experimentFromJsonText("{\"conversations\": 1e300}"),
+                 std::runtime_error);
+    // Crash windows need all three keys and take no others.
+    EXPECT_THROW(experimentFromJsonText(
+                     "{\"crashSchedule\": [{\"node\": 0, \"startUs\": 1}]}"),
+                 std::runtime_error);
+    EXPECT_THROW(experimentFromJsonText(
+                     "{\"crashSchedule\": [{\"node\": 0, \"startUs\": 1, "
+                     "\"endUs\": 2, \"end\": 3}]}"),
+                 std::runtime_error);
+    EXPECT_THROW(experimentFromJsonText("{\"crashSchedule\": {}}"),
+                 std::runtime_error);
 }
 
 TEST(ExperimentJson, TopologyRoundTripsAndOmitsItselfByDefault)
@@ -252,6 +267,29 @@ TEST(ExperimentJson, RejectsInvalidConfigurations)
         EXPECT_NE(rejection(huge).find("measureUs must be finite"),
                   std::string::npos)
             << huge;
+    // So would a duration a tiny positive rate derives: packet time
+    // packetBytes * 8 / rate, the mean arrival gap, or a kernel cost
+    // divided by mpSpeedFactor.  An architecture outside 1..4 has no
+    // cost tables at all.  Each rejection names its field.
+    const std::pair<const char *, const char *> named[] = {
+        {"{\"local\": false, \"useTokenRing\": true, \"ringMbps\": 1e-300}",
+         "ringMbps"},
+        {"{\"local\": false, \"topology\": {\"nodes\": 2, "
+         "\"linkMbps\": 1e-300}}",
+         "topology linkMbps"},
+        {"{\"local\": false, \"topology\": {\"nodes\": 3, \"kind\": 2, "
+         "\"segMbps\": 1e-300}}",
+         "topology segMbps"},
+        {"{\"local\": false, \"topology\": {\"nodes\": 2, \"links\": "
+         "[{\"a\": 0, \"b\": 1, \"mbps\": 1e-300}]}}",
+         "link override mbps"},
+        {"{\"mpSpeedFactor\": 1e-300}", "mpSpeedFactor"},
+        {"{\"arrivalMode\": 1, \"arrivalRatePerSec\": 1e-300}",
+         "arrivalRatePerSec"},
+        {"{\"arch\": 0}", "arch is 1 (I)"},
+    };
+    for (const auto &[doc, field] : named)
+        EXPECT_NE(rejection(doc).find(field), std::string::npos) << doc;
     // Every violation is listed, not just the first.
     const std::string both = rejection(
         "{\"packetBytes\": 0, \"retransmitWindow\": 0}");

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -298,6 +299,82 @@ TEST(Shrink, MinimizesToTheDecidingKnobs)
     expect.local = false;
     expect.lossRate = res.minimal.lossRate;
     EXPECT_TRUE(res.minimal == expect);
+}
+
+TEST(Shrink, SkipsCandidatesValidateRejects)
+{
+    // The crash window names node 3, so every candidate with fewer
+    // than four nodes — the topology reset, the 2-node floor, the
+    // bisection midpoint 3 — is invalid.  Each must be skipped: never
+    // run (runExperiment would abort on it) and never charged.
+    Experiment failing = baseExperiment();
+    failing.topo.nodes = 4;
+    failing.crashSchedule = {{3, 1000, 3000}};
+    ASSERT_TRUE(validate(failing).empty());
+
+    int evals = 0;
+    const ShrinkResult res = shrinkExperiment(
+        failing, [&evals](const Experiment &cand) {
+            ++evals;
+            EXPECT_TRUE(validate(cand).empty());
+            runExperiment(cand);
+            return !cand.crashSchedule.empty();
+        });
+    EXPECT_EQ(res.runsUsed, evals);
+    EXPECT_TRUE(res.minimal == failing);
+    EXPECT_EQ(knobDiff(res.minimal),
+              (std::vector<std::string>{"topo.nodes", "crashSchedule"}));
+}
+
+/** @p v moved off its value, to perturb one table field. */
+template <class V>
+V
+moved(V v)
+{
+    if constexpr (std::is_same_v<V, bool>)
+        return !v;
+    else if constexpr (std::is_arithmetic_v<V>)
+        return v + 1;
+    else if constexpr (std::is_same_v<V, models::Arch>)
+        return v == models::Arch::IV ? models::Arch::III
+                                     : models::Arch::IV;
+    else if constexpr (std::is_same_v<V, std::string>)
+        return v + "x";
+    else {
+        v.emplace_back(); // a crash window or link override
+        return v;
+    }
+}
+
+TEST(Shrink, CoversEveryTableField)
+{
+    // Move one field of the table at a time: knobDiff names exactly
+    // that field, and a shrink whose predicate does not need it
+    // resets it to the base value.
+    const Experiment base = baseExperiment();
+    const auto check = [&base](const std::string &name,
+                               const Experiment &e) {
+        EXPECT_EQ(knobDiff(e), std::vector<std::string>{name});
+        const ShrinkResult res = shrinkExperiment(
+            e, [](const Experiment &) { return true; });
+        EXPECT_TRUE(res.minimal == base) << name << " not reset";
+    };
+    Fields<Experiment>::forEach([&](const char *key, auto member,
+                                    FieldUnit) {
+        if constexpr (std::is_same_v<decltype(base.*member),
+                                     const topo::Topology &>) {
+            Fields<topo::Topology>::forEach(
+                [&](const char *topoKey, auto topoMember, FieldUnit) {
+                    Experiment e = base;
+                    e.topo.*topoMember = moved(e.topo.*topoMember);
+                    check(std::string("topo.") + topoKey, e);
+                });
+        } else {
+            Experiment e = base;
+            e.*member = moved(e.*member);
+            check(key, e);
+        }
+    });
 }
 
 TEST(Fuzz, InjectedRetransmissionBugIsCaughtShrunkAndReplayable)
