@@ -89,11 +89,8 @@ main(int argc, char **argv)
     const std::vector<double> scales = {2.0, 5.0, 10.0, 20.0};
     std::vector<std::function<LocalSolution()>> scaleTasks;
     for (double scale : scales) {
-        scaleTasks.push_back([scale]() {
-            SolveConfig cfg;
-            cfg.timeScale = scale;
-            return solveLocal(Arch::III, 2, 1710.0, cfg);
-        });
+        scaleTasks.push_back(
+            [scale]() { return solveLocal(Arch::III, 2, 1710.0, scale); });
     }
     const std::vector<double> cyc =
         hsipc::parallel::runAll<double>(hsipc::bench::jobs(),

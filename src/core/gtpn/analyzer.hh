@@ -24,20 +24,17 @@
 namespace hsipc::gtpn
 {
 
-/** Options for the analyzer. */
-struct AnalyzerOptions
-{
-    std::size_t maxStates = 2000000; //!< reachability-graph size cap
-    SolveOptions solve;              //!< Markov solve parameters
-};
-
-/** Results of an exact GTPN analysis. */
+/**
+ * Results of an exact GTPN analysis.  analyze() returns only a
+ * converged solve, so @c converged is always true on return.
+ */
 struct AnalyzerResult
 {
     std::size_t numStates = 0;
     bool converged = false;
     bool deadlock = false; //!< some reachable state had no successor
     int sweeps = 0;
+    double residual = 0.0; //!< final ||pi P - pi||_1 of the Markov solve
 
     /** Time-averaged number of simultaneous firings per resource. */
     std::map<std::string, double> resourceUsage;
@@ -62,9 +59,13 @@ struct AnalyzerResult
     }
 };
 
-/** Exact steady-state analysis of @p net. */
+/**
+ * Exact steady-state analysis of @p net.  Panics if the reachability
+ * graph grows past @p maxStates, a safety bound on memory, or if the
+ * Markov solve does not converge (see MarkovChain::solve()).
+ */
 AnalyzerResult analyze(const PetriNet &net,
-                       const AnalyzerOptions &opts = AnalyzerOptions());
+                       std::size_t maxStates = 2000000);
 
 } // namespace hsipc::gtpn
 

@@ -2,10 +2,22 @@
 
 #include <cmath>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace hsipc::gtpn
 {
+
+namespace
+{
+
+// The solve's numerical method is fixed; none of it is a setting.
+constexpr double damping = 0.5;       //!< weight of the previous iterate
+constexpr int checkInterval = 16;     //!< sweeps between residual checks
+constexpr int maxSweeps = 200000;     //!< reaching this cap is an error
+constexpr double maxResidual = 1e-10; //!< ||pi P - pi||_1 at convergence
+
+} // namespace
 
 void
 MarkovChain::resize(std::size_t n)
@@ -35,7 +47,7 @@ MarkovChain::setSojourn(std::size_t state, double t)
 }
 
 SolveResult
-MarkovChain::solve(const SolveOptions &opts) const
+MarkovChain::solve() const
 {
     const std::size_t n = numStates();
     hsipc_assert(n > 0);
@@ -47,25 +59,22 @@ MarkovChain::solve(const SolveOptions &opts) const
 
     SolveResult res;
     std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    std::vector<double> prev(n);
-
-    const double alpha = opts.damping;
-    bool converged = false;
+    // (pi P)(j): the probability flowing into state j.
+    const auto inflow = [this, &pi](std::size_t j) {
+        double acc = 0.0;
+        for (const Edge &e : incoming[j])
+            acc += pi[e.src] * e.prob;
+        return acc;
+    };
+    double residual = 0.0;
     int sweep = 0;
-    while (sweep < opts.maxSweeps && !converged) {
-        const bool check = (sweep % opts.checkInterval) == 0;
-        if (check)
-            prev = pi;
-
+    for (;;) {
         // One damped Gauss-Seidel sweep: pi(j) is updated in place so
         // later states see the freshest values, which markedly speeds
         // convergence on the near-pipeline chains the GTPN produces.
         double sum = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (const Edge &e : incoming[j])
-                acc += pi[e.src] * e.prob;
-            pi[j] = alpha * pi[j] + (1.0 - alpha) * acc;
+            pi[j] = damping * pi[j] + (1.0 - damping) * inflow(j);
             sum += pi[j];
         }
         hsipc_assert(sum > 0.0);
@@ -74,22 +83,23 @@ MarkovChain::solve(const SolveOptions &opts) const
             v *= inv;
 
         ++sweep;
-        if (check && sweep > 1) {
-            double worst = 0.0;
-            for (std::size_t j = 0; j < n; ++j) {
-                const double scale = std::max(pi[j], 1e-300);
-                worst = std::max(worst, std::abs(pi[j] - prev[j]) / scale);
-            }
-            // The damped iterate moves at most (1 - alpha) of the full
-            // step, and we compare across checkInterval sweeps, so the
-            // raw tolerance applies directly.
-            if (worst < opts.tolerance)
-                converged = true;
-        }
+        if (sweep % checkInterval != 0)
+            continue;
+        // The exact L1 residual ||pi P - pi||_1 of the normalized iterate.
+        residual = 0.0;
+        for (std::size_t j = 0; j < n; ++j)
+            residual += std::abs(inflow(j) - pi[j]);
+        if (residual <= maxResidual)
+            break;
+        if (sweep >= maxSweeps)
+            hsipc_panic("Markov solve did not converge: residual " +
+                        jsonNumber(residual) + " after " +
+                        std::to_string(sweep) + " sweeps over " +
+                        std::to_string(n) + " states");
     }
 
     res.piEmbedded = pi;
-    res.converged = converged;
+    res.residual = residual;
     res.sweeps = sweep;
 
     // Time-weight by deterministic sojourns.

@@ -7,8 +7,9 @@
  * The solver runs damped Gauss-Seidel sweeps of x <- xP over a sparse
  * incoming-edge representation; damping removes periodicity (the
  * thesis' nets are strongly periodic because every timed transition
- * takes exactly one time unit).  Convergence is declared on the
- * relative change of the stationary vector.
+ * takes exactly one time unit).  It has no tuning parameters: it stops
+ * once the exact residual ||pi P - pi||_1 is at most 1e-10, and a
+ * chain that does not get there within the sweep cap is a hard error.
  */
 
 #ifndef HSIPC_GTPN_MARKOV_HH
@@ -20,21 +21,12 @@
 namespace hsipc::gtpn
 {
 
-/** Options controlling the stationary solve. */
-struct SolveOptions
-{
-    double tolerance = 1e-10;   //!< max relative change of pi per sweep
-    int maxSweeps = 200000;     //!< hard iteration cap
-    double damping = 0.5;       //!< weight of the previous iterate
-    int checkInterval = 16;     //!< sweeps between convergence checks
-};
-
-/** Result of a stationary solve. */
+/** Result of a stationary solve (always converged on return). */
 struct SolveResult
 {
     std::vector<double> piEmbedded; //!< stationary of the embedded chain
     std::vector<double> piTime;     //!< sojourn-weighted (time) stationary
-    bool converged = false;
+    double residual = 0.0;          //!< final ||pi P - pi||_1 (<= 1e-10)
     int sweeps = 0;
 };
 
@@ -60,9 +52,11 @@ class MarkovChain
     /**
      * Solve for the stationary distribution.  Rows must each sum to 1
      * (within numerical tolerance); the chain should have a single
-     * recurrent class reachable from every state.
+     * recurrent class reachable from every state.  Panics, naming the
+     * residual, sweep count and state count, if the residual is still
+     * above 1e-10 after 200,000 sweeps.
      */
-    SolveResult solve(const SolveOptions &opts = SolveOptions()) const;
+    SolveResult solve() const;
 
   private:
     struct Edge

@@ -1,6 +1,7 @@
 #include "core/models/contention.hh"
 
 #include "common/logging.hh"
+#include "core/gtpn/analyzer.hh"
 
 namespace hsipc::models
 {
@@ -8,8 +9,7 @@ namespace hsipc::models
 using namespace gtpn;
 
 ContentionResult
-solveContention(const std::vector<Activity> &activities, int numBuses,
-                const AnalyzerOptions &opts)
+solveContention(const std::vector<Activity> &activities, int numBuses)
 {
     hsipc_assert(!activities.empty());
     hsipc_assert(numBuses >= 1);
@@ -60,7 +60,7 @@ solveContention(const std::vector<Activity> &activities, int numBuses,
                       mem_bus[static_cast<std::size_t>(a.bus)]);
     }
 
-    const AnalyzerResult r = analyze(net, opts);
+    const AnalyzerResult r = analyze(net);
     hsipc_assert(!r.deadlock);
 
     ContentionResult out;

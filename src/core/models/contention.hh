@@ -25,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gtpn/analyzer.hh"
-
 namespace hsipc::models
 {
 
@@ -53,8 +51,7 @@ struct ContentionResult
  * independent memory partitions.
  */
 ContentionResult
-solveContention(const std::vector<Activity> &activities, int numBuses = 1,
-                const gtpn::AnalyzerOptions &opts = gtpn::AnalyzerOptions());
+solveContention(const std::vector<Activity> &activities, int numBuses = 1);
 
 /** The four activities of Table 6.2 (architecture I, client node). */
 std::vector<Activity> archIClientActivities();

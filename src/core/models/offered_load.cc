@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/logging.hh"
+#include "core/models/solution.hh"
 
 namespace hsipc::models
 {
@@ -19,7 +20,7 @@ offeredLoadServerTimesMs()
 }
 
 double
-communicationTime(Arch arch, bool local, const SolveConfig &cfg)
+communicationTime(Arch arch, bool local)
 {
     static std::map<std::pair<int, bool>, double> cache;
     static std::mutex mutex;
@@ -32,16 +33,10 @@ communicationTime(Arch arch, bool local, const SolveConfig &cfg)
             return it->second;
     }
 
-    double c;
-    if (local) {
-        const LocalSolution s = solveLocal(arch, 1, 0.0, cfg);
-        hsipc_assert(s.throughputPerUs > 0.0);
-        c = 1.0 / s.throughputPerUs;
-    } else {
-        const NonlocalSolution s = solveNonlocal(arch, 1, 0.0, cfg);
-        hsipc_assert(s.throughputPerUs > 0.0);
-        c = 1.0 / s.throughputPerUs;
-    }
+    const double tp = local ? solveLocal(arch, 1, 0.0).throughputPerUs
+                            : solveNonlocal(arch, 1, 0.0).throughputPerUs;
+    hsipc_assert(tp > 0.0);
+    const double c = 1.0 / tp;
 
     std::lock_guard<std::mutex> lock(mutex);
     cache.emplace(key, c);
@@ -49,19 +44,18 @@ communicationTime(Arch arch, bool local, const SolveConfig &cfg)
 }
 
 double
-offeredLoad(Arch arch, bool local, double serverUs, const SolveConfig &cfg)
+offeredLoad(Arch arch, bool local, double serverUs)
 {
     hsipc_assert(serverUs >= 0.0);
-    const double c = communicationTime(arch, local, cfg);
+    const double c = communicationTime(arch, local);
     return c / (c + serverUs);
 }
 
 double
-serverTimeForLoad(Arch arch, bool local, double load,
-                  const SolveConfig &cfg)
+serverTimeForLoad(Arch arch, bool local, double load)
 {
     hsipc_assert(load > 0.0 && load <= 1.0);
-    const double c = communicationTime(arch, local, cfg);
+    const double c = communicationTime(arch, local);
     return c * (1.0 - load) / load;
 }
 

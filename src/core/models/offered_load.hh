@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/models/processing_times.hh"
-#include "core/models/solution.hh"
 
 namespace hsipc::models
 {
@@ -28,19 +27,16 @@ const std::vector<double> &offeredLoadServerTimesMs();
  * Round-trip communication time C for one conversation at zero
  * computation, microseconds.  Results are cached per (arch, local).
  */
-double communicationTime(Arch arch, bool local,
-                         const SolveConfig &cfg = SolveConfig());
+double communicationTime(Arch arch, bool local);
 
 /** Offered load C / (C + S) for a server time of @p serverUs. */
-double offeredLoad(Arch arch, bool local, double serverUs,
-                   const SolveConfig &cfg = SolveConfig());
+double offeredLoad(Arch arch, bool local, double serverUs);
 
 /**
  * The server computation time S achieving a given offered load under
  * @p arch (the inverse of offeredLoad), microseconds.
  */
-double serverTimeForLoad(Arch arch, bool local, double load,
-                         const SolveConfig &cfg = SolveConfig());
+double serverTimeForLoad(Arch arch, bool local, double load);
 
 } // namespace hsipc::models
 

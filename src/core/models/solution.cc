@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "core/gtpn/analyzer.hh"
 #include "core/models/local_model.hh"
 
 namespace hsipc::models
@@ -15,20 +17,15 @@ namespace
 /** The 40-byte copy time on the M68000 (chapter 4), microseconds. */
 constexpr double extraCopyUs = 220.0;
 
-/** Pick a time scale keeping >= @p resolution units in @p minMean. */
-double
-autoScale(double min_mean, double resolution = 20.0)
-{
-    return std::max(1.0, std::floor(min_mean / resolution));
-}
+// The fixed point's stopping rule is fixed; none of it is a setting.
+constexpr int maxIterations = 60;     //!< reaching this cap is an error
+constexpr double maxResidual = 1e-3;  //!< |F(S_d) - S_d| / S_d at the end
 
+/** Pick a time scale keeping >= 20 units in @p minMean. */
 double
-localMinMean(const LocalParams &p, double x)
+autoScale(double min_mean)
 {
-    if (p.arch == Arch::I)
-        return std::min({p.uniSend, p.uniRecv, p.uniMatchReply + x});
-    return std::min({p.sendSyscall, p.recvSyscall, p.mpSend, p.mpRecv,
-                     p.mpMatch, p.hostReplyBase + x, p.mpReply});
+    return std::max(1.0, std::floor(min_mean / 20.0));
 }
 
 double
@@ -52,19 +49,27 @@ serverMinMean(const NonlocalServerParams &p, double cd, double x)
 
 } // namespace
 
+double
+localAutoScale(const LocalParams &p, double x)
+{
+    return autoScale(p.arch == Arch::I
+        ? std::min({p.uniSend, p.uniRecv, p.uniMatchReply + x})
+        : std::min({p.sendSyscall, p.recvSyscall, p.mpSend, p.mpRecv,
+                    p.mpMatch, p.hostReplyBase + x, p.mpReply}));
+}
+
 LocalSolution
 solveLocalCustom(const LocalParams &params, int conversations,
-                 double computeTime, int hostTokens,
-                 const SolveConfig &cfg)
+                 double computeTime, int hostTokens, double timeScale)
 {
-    const double scale = cfg.timeScale > 0.0
-        ? cfg.timeScale
-        : autoScale(localMinMean(params, computeTime));
+    const double scale = timeScale > 0.0
+        ? timeScale
+        : localAutoScale(params, computeTime);
 
     const LocalModel m = buildLocalModel(params, conversations,
                                          computeTime, scale,
                                          hostTokens);
-    const gtpn::AnalyzerResult r = gtpn::analyze(m.net, cfg.analyzer);
+    const gtpn::AnalyzerResult r = gtpn::analyze(m.net);
     hsipc_assert(!r.deadlock);
 
     LocalSolution out;
@@ -76,17 +81,16 @@ solveLocalCustom(const LocalParams &params, int conversations,
 
 LocalSolution
 solveLocal(Arch arch, int conversations, double computeTime,
-           const SolveConfig &cfg)
+           double timeScale)
 {
     return solveLocalCustom(localParams(arch), conversations,
-                            computeTime, 1, cfg);
+                            computeTime, 1, timeScale);
 }
 
 NonlocalSolution
 solveNonlocalCustom(const NonlocalClientParams &cp,
                     const NonlocalServerParams &sp, int conversations,
-                    double computeTime, int hostTokens,
-                    const SolveConfig &cfg)
+                    double computeTime, int hostTokens)
 {
     const double x = computeTime;
     const double n = static_cast<double>(conversations);
@@ -98,43 +102,36 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
     const double sc = sp.receivePath();
 
     NonlocalSolution out;
-    double lambda_per_us = 0.0;
-    double client_states = 0.0, server_states = 0.0;
 
-    for (int iter = 1; iter <= cfg.maxIterations; ++iter) {
+    for (int iter = 1;; ++iter) {
         out.iterations = iter;
 
         // Client node with the current surrogate S_d.
-        const double cscale = cfg.timeScale > 0.0
-            ? cfg.timeScale
-            : autoScale(clientMinMean(cp, sd));
+        const double cscale = autoScale(clientMinMean(cp, sd));
         const ClientModel cm =
             buildClientModel(cp, conversations, sd, hostTokens, cscale);
-        const gtpn::AnalyzerResult cr = gtpn::analyze(cm.net,
-                                                      cfg.analyzer);
+        const gtpn::AnalyzerResult cr = gtpn::analyze(cm.net);
         hsipc_assert(!cr.deadlock);
-        lambda_per_us = cm.throughputPerUs(cr.usage(lambdaResource));
-        client_states = static_cast<double>(cr.numStates);
-        hsipc_assert(lambda_per_us > 0.0);
+        out.throughputPerUs = cm.throughputPerUs(cr.usage(lambdaResource));
+        out.clientStates = cr.numStates;
+        hsipc_assert(out.throughputPerUs > 0.0);
 
         // Little's law at the client node: mean cycle T = N / Lambda,
         // client busy time C_d' = T - S_d, and the wait seen by the
         // server excludes the overlapped receive processing S_c.
-        const double t = n / lambda_per_us;
+        const double t = n / out.throughputPerUs;
         out.clientBusy = t - sd;
         double cd = out.clientBusy - sc;
 
         // Server node with the surrogate C_d.
-        const double sscale_floor = cfg.timeScale > 0.0
-            ? cfg.timeScale
-            : autoScale(serverMinMean(sp, std::max(cd, 1.0), x));
+        const double sscale_floor =
+            autoScale(serverMinMean(sp, std::max(cd, 1.0), x));
         cd = std::max(cd, sscale_floor);
         const ServerModel sm = buildServerModel(sp, conversations, cd, x,
                                                 hostTokens, sscale_floor);
-        const gtpn::AnalyzerResult sr = gtpn::analyze(sm.net,
-                                                      cfg.analyzer);
+        const gtpn::AnalyzerResult sr = gtpn::analyze(sm.net);
         hsipc_assert(!sr.deadlock);
-        server_states = static_cast<double>(sr.numStates);
+        out.serverStates = sr.numStates;
 
         const double arrivals_per_us =
             sr.firingRate[static_cast<std::size_t>(sm.arrival)] /
@@ -148,28 +145,30 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
         const double sd_new =
             customers / arrivals_per_us + sp.dmaIn + sp.dmaOut;
 
-        const double rel = std::abs(sd_new - sd) / std::max(sd, 1.0);
-        sd = 0.5 * (sd + sd_new);
-        if (rel < cfg.tolerance) {
-            out.converged = true;
+        // Stop on the map's relative residual, reporting the S_d this
+        // iteration evaluated; otherwise take a damped step.
+        out.residual = std::abs(sd_new - sd) / sd;
+        if (out.residual < maxResidual)
             break;
-        }
+        if (iter == maxIterations)
+            hsipc_panic("non-local fixed point did not converge: residual "
+                        "|F(S_d) - S_d| / S_d = " +
+                        jsonNumber(out.residual) + " after " +
+                        std::to_string(iter) + " iterations");
+        sd = 0.5 * (sd + sd_new);
     }
 
-    out.throughputPerUs = lambda_per_us;
+    out.converged = true;
     out.serverDelay = sd;
-    out.clientStates = static_cast<std::size_t>(client_states);
-    out.serverStates = static_cast<std::size_t>(server_states);
     return out;
 }
 
 NonlocalSolution
-solveNonlocal(Arch arch, int conversations, double computeTime,
-              const SolveConfig &cfg)
+solveNonlocal(Arch arch, int conversations, double computeTime)
 {
     return solveNonlocalCustom(nonlocalClientParams(arch),
                                nonlocalServerParams(arch), conversations,
-                               computeTime, 1, cfg);
+                               computeTime, 1);
 }
 
 NonlocalClientParams

@@ -9,6 +9,9 @@
  * client busy time C_d; the server-node model solved with C_d yields
  * (via the customers-in-system Queue place and Little's law again) a
  * new S_d; iteration continues until S_d is stationary.
+ *
+ * Neither solve takes tuning options.  Every answer returned is
+ * converged: an unconverged Markov solve or fixed point panics.
  */
 
 #ifndef HSIPC_MODELS_SOLUTION_HH
@@ -16,55 +19,49 @@
 
 #include <cstddef>
 
-#include "core/gtpn/analyzer.hh"
 #include "core/models/nonlocal_model.hh"
 #include "core/models/processing_times.hh"
 
 namespace hsipc::models
 {
 
-/** Options shared by the model solutions. */
-struct SolveConfig
-{
-    /**
-     * Microseconds per model time unit; 0 selects automatically so
-     * the smallest stage keeps at least ~20 time units of resolution.
-     */
-    double timeScale = 0.0;
-
-    /** Exact-analysis options. */
-    gtpn::AnalyzerOptions analyzer;
-
-    /** Fixed-point iteration limit (non-local only). */
-    int maxIterations = 60;
-
-    /** Relative S_d change declaring convergence (non-local only). */
-    double tolerance = 1e-3;
-};
-
 /** Result of a local-conversation solve. */
 struct LocalSolution
 {
     double throughputPerUs = 0.0; //!< round trips per microsecond
     std::size_t states = 0;
-    bool converged = false;
+    bool converged = false;       //!< always true on return
 };
 
-/** Result of the non-local fixed point. */
+/**
+ * Result of the non-local fixed point.  throughputPerUs and clientBusy
+ * are evaluated at serverDelay, so clientBusy + serverDelay equals
+ * conversations / throughputPerUs.
+ */
 struct NonlocalSolution
 {
     double throughputPerUs = 0.0; //!< round trips per microsecond
     double serverDelay = 0.0;     //!< converged S_d, microseconds
     double clientBusy = 0.0;      //!< converged C_d', microseconds
+    double residual = 0.0;        //!< final |F(S_d) - S_d| / S_d
     int iterations = 0;
-    bool converged = false;
+    bool converged = false;       //!< always true on return
     std::size_t clientStates = 0;
     std::size_t serverStates = 0;
 };
 
-/** Solve the local model of @p arch. */
+/**
+ * The local model's automatic time scale, microseconds per model time
+ * unit: the smallest stage mean keeps at least 20 time units.
+ */
+double localAutoScale(const LocalParams &params, double computeTime);
+
+/**
+ * Solve the local model of @p arch.  A positive @p timeScale
+ * (microseconds per model time unit) overrides localAutoScale().
+ */
 LocalSolution solveLocal(Arch arch, int conversations, double computeTime,
-                         const SolveConfig &cfg = SolveConfig());
+                         double timeScale = 0.0);
 
 /**
  * Local model with explicit parameters and host count — used for the
@@ -73,13 +70,15 @@ LocalSolution solveLocal(Arch arch, int conversations, double computeTime,
  */
 LocalSolution solveLocalCustom(const LocalParams &params,
                                int conversations, double computeTime,
-                               int hostTokens,
-                               const SolveConfig &cfg = SolveConfig());
+                               int hostTokens, double timeScale = 0.0);
 
-/** Solve the non-local two-node fixed point for @p arch. */
+/**
+ * Solve the non-local two-node fixed point for @p arch.  It stops once
+ * the relative residual |F(S_d) - S_d| / S_d is below 1e-3 and panics
+ * if that takes more than 60 iterations.
+ */
 NonlocalSolution solveNonlocal(Arch arch, int conversations,
-                               double computeTime,
-                               const SolveConfig &cfg = SolveConfig());
+                               double computeTime);
 
 /**
  * Non-local fixed point with explicit parameters, used for the
@@ -89,8 +88,7 @@ NonlocalSolution solveNonlocal(Arch arch, int conversations,
 NonlocalSolution solveNonlocalCustom(const NonlocalClientParams &cp,
                                      const NonlocalServerParams &sp,
                                      int conversations, double computeTime,
-                                     int hostTokens,
-                                     const SolveConfig &cfg = SolveConfig());
+                                     int hostTokens);
 
 /**
  * The validation-configuration parameters (§6.8): architecture II with

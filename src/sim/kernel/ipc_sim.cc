@@ -49,6 +49,19 @@ constexpr double rpcExpireUs = 15.0; //!< tearing down at the deadline
 constexpr double rpcOrphanUs = 10.0; //!< discarding an orphaned reply
 constexpr int rpcKbAccesses = 4;     //!< buffer accesses per rpc event
 
+/**
+ * Mean of the bounded Pareto on [1, @p bound] with shape @p alpha:
+ * open arrivals divide each draw by it so the gap mean is the
+ * configured one.
+ */
+double
+boundedParetoMean(double alpha, double bound)
+{
+    return alpha / (alpha - 1.0) *
+           (1.0 - std::pow(bound, 1.0 - alpha)) /
+           (1.0 - std::pow(bound, -alpha));
+}
+
 /** One request attempt waiting in a node's service queue. */
 struct QueueEntry
 {
@@ -1538,11 +1551,7 @@ class Sim
             const double x =
                 std::pow(1.0 - robustRng.uniform() * (1.0 - hb),
                          -1.0 / a);
-            const double norm =
-                a / (a - 1.0) *
-                (1.0 - std::pow(exp.paretoBound, 1.0 - a)) /
-                (1.0 - hb);
-            dt_us = x / norm * mean_us;
+            dt_us = x / boundedParetoMean(a, exp.paretoBound) * mean_us;
         }
         const Tick gap = std::max<Tick>(1, usToTicks(dt_us));
         if (batch)
@@ -2230,9 +2239,17 @@ validate(const Experiment &exp)
              "open arrivals are incompatible with the mixed workload");
     }
     if (exp.arrivalMode == 2) {
-        need(exp.paretoAlpha > 0 && exp.paretoAlpha != 1.0,
-             "bounded Pareto needs alpha > 0, alpha != 1");
+        const bool shapeOk = exp.paretoAlpha > 0 && exp.paretoAlpha != 1.0;
+        need(shapeOk, "bounded Pareto needs alpha > 0, alpha != 1");
         need(exp.paretoBound > 1, "bounded Pareto needs an upper bound > 1");
+        // The smallest draw, the mean gap over the Pareto mean, must
+        // be at least one tick, or arrivals pile up at the floor.
+        need(!shapeOk || exp.paretoBound <= 1 ||
+                 exp.arrivalRatePerSec <= 0 ||
+                 1e6 / exp.arrivalRatePerSec * tickUs >=
+                     boundedParetoMean(exp.paretoAlpha, exp.paretoBound),
+             "paretoAlpha/paretoBound: the smallest bounded-Pareto gap "
+             "1e6 / arrivalRatePerSec / mean must be at least one tick");
     }
     need(exp.deadlineUs >= 0, "deadlineUs cannot be negative");
     need(exp.retryBudget >= 0, "retryBudget cannot be negative");

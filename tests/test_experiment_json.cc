@@ -269,7 +269,8 @@ TEST(ExperimentJson, RejectsInvalidConfigurations)
             << huge;
     // So would a duration a tiny positive rate derives: packet time
     // packetBytes * 8 / rate, the mean arrival gap, or a kernel cost
-    // divided by mpSpeedFactor.  An architecture outside 1..4 has no
+    // divided by mpSpeedFactor.  A bounded-Pareto shape whose smallest
+    // gap rounds below one tick would flood the run instead.  An architecture outside 1..4 has no
     // cost tables at all.  Each rejection names its field.
     const std::pair<const char *, const char *> named[] = {
         {"{\"local\": false, \"useTokenRing\": true, \"ringMbps\": 1e-300}",
@@ -286,6 +287,9 @@ TEST(ExperimentJson, RejectsInvalidConfigurations)
         {"{\"mpSpeedFactor\": 1e-300}", "mpSpeedFactor"},
         {"{\"arrivalMode\": 1, \"arrivalRatePerSec\": 1e-300}",
          "arrivalRatePerSec"},
+        {"{\"arrivalMode\": 2, \"paretoAlpha\": 0.1, "
+         "\"paretoBound\": 1e300}",
+         "paretoAlpha/paretoBound"},
         {"{\"arch\": 0}", "arch is 1 (I)"},
     };
     for (const auto &[doc, field] : named)

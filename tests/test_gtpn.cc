@@ -220,6 +220,7 @@ TEST(Analyzer, Fig66ExampleThroughput)
     Fig66 model(20.0, 5.0);
     const AnalyzerResult r = analyze(model.net);
     EXPECT_TRUE(r.converged);
+    EXPECT_LE(r.residual, 1e-10);
     EXPECT_FALSE(r.deadlock);
     EXPECT_NEAR(r.usage("Lambda"), model.expectedThroughput(), 1e-6);
 }
@@ -582,9 +583,7 @@ TEST(Analyzer, StateCapPanics)
     net.inputArc(clock, t);
     net.outputArc(t, clock);
     net.outputArc(t, acc);
-    AnalyzerOptions opts;
-    opts.maxStates = 16;
-    EXPECT_DEATH(analyze(net, opts), "maxStates");
+    EXPECT_DEATH(analyze(net, 16), "maxStates");
 }
 
 TEST(Analyzer, ZeroFrequencyTransitionNeverFires)
@@ -638,30 +637,28 @@ TEST(Simulator, DeterministicForFixedSeed)
     EXPECT_DOUBLE_EQ(a.usage("Lambda"), b.usage("Lambda"));
 }
 
-TEST(Markov, SolveOptionsRespectSweepCap)
+TEST(Analyzer, UnconvergedSolvePanics)
 {
-    MarkovChain c;
-    c.addEdge(0, 1, 1.0);
-    c.addEdge(1, 0, 1.0);
-    SolveOptions opts;
-    opts.maxSweeps = 3;
-    opts.tolerance = 1e-30; // unreachable: must stop at the cap
-    const SolveResult r = c.solve(opts);
-    EXPECT_FALSE(r.converged);
-    EXPECT_EQ(r.sweeps, 3);
-}
-
-TEST(Markov, HigherDampingStillConverges)
-{
-    MarkovChain c;
-    c.addEdge(0, 0, 0.5);
-    c.addEdge(0, 1, 0.5);
-    c.addEdge(1, 0, 1.0);
-    SolveOptions opts;
-    opts.damping = 0.9;
-    const SolveResult r = c.solve(opts);
-    ASSERT_TRUE(r.converged);
-    EXPECT_NEAR(r.piEmbedded[0], 2.0 / 3.0, 1e-7);
+    // The GTPN form of a two-state chain that leaves each state with
+    // probability 1e-6 or 2e-6 per unit: its Markov solve cannot reach
+    // the residual bound within the sweep cap, so analyze() must panic
+    // rather than return estimates.
+    const double e = 1e-6;
+    PetriNet net;
+    const PlaceId a = net.addPlace("A", 1);
+    const PlaceId b = net.addPlace("B");
+    const auto arc = [&net](const char *name, double freq, PlaceId from,
+                            PlaceId to) {
+        const TransId t = net.addTransition(name, 1.0, freq);
+        net.inputArc(from, t);
+        net.outputArc(t, to);
+    };
+    arc("stayA", 1.0 - e, a, a);
+    arc("goB", e, a, b);
+    arc("stayB", 1.0 - 2.0 * e, b, b);
+    arc("goA", 2.0 * e, b, a);
+    EXPECT_DEATH(analyze(net), "did not converge: residual .* after "
+                               "200000 sweeps over 4 states");
 }
 
 } // namespace

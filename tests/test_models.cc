@@ -131,13 +131,8 @@ TEST(LocalModel, ArchIIIBeatsBothAtMaxLoad)
 
 TEST(LocalModel, TimeScaleInvariance)
 {
-    SolveConfig fine;
-    fine.timeScale = 2.0;
-    SolveConfig coarse;
-    coarse.timeScale = 8.0;
-    const double a = solveLocal(Arch::III, 2, 0.0, fine).throughputPerUs;
-    const double b =
-        solveLocal(Arch::III, 2, 0.0, coarse).throughputPerUs;
+    const double a = solveLocal(Arch::III, 2, 0.0, 2.0).throughputPerUs;
+    const double b = solveLocal(Arch::III, 2, 0.0, 8.0).throughputPerUs;
     EXPECT_NEAR(a, b, a * 0.05);
 }
 
@@ -161,6 +156,21 @@ TEST(NonlocalModel, FixedPointConverges)
         EXPECT_TRUE(s.converged) << archName(a);
         EXPECT_GT(s.throughputPerUs, 0.0);
         EXPECT_GT(s.serverDelay, 0.0);
+    }
+}
+
+TEST(NonlocalModel, OutputsDescribeOneFixedPointIterate)
+{
+    // Throughput and client busy time are evaluated at the reported
+    // S_d, so Little's law closes exactly: C_d' + S_d = N / throughput.
+    for (Arch a : {Arch::I, Arch::II, Arch::III, Arch::IV}) {
+        for (int n : {1, 2, 3}) {
+            const NonlocalSolution s = solveNonlocal(a, n, 2850.0);
+            const double cycle = n / s.throughputPerUs;
+            EXPECT_NEAR(s.clientBusy + s.serverDelay, cycle, cycle * 1e-9)
+                << archName(a) << " N=" << n;
+            EXPECT_LT(s.residual, 1e-3) << archName(a) << " N=" << n;
+        }
     }
 }
 
@@ -216,10 +226,9 @@ TEST(Contention, PartitionedBusReducesInterference)
 
 TEST(OfferedLoad, MonotoneDecreasingInServerTime)
 {
-    SolveConfig cfg;
     double prev = 1.1;
     for (double ms : {0.0, 0.57, 5.7, 45.6}) {
-        const double load = offeredLoad(Arch::I, true, ms * 1000.0, cfg);
+        const double load = offeredLoad(Arch::I, true, ms * 1000.0);
         EXPECT_LT(load, prev);
         prev = load;
     }
