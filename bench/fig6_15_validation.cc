@@ -18,15 +18,18 @@
  * hosts (§6.8); the simulator binds statically too, so the same
  * optimism should appear here.
  *
- * The 20 simulations are independent, so they run through the sweep
- * runner (`--jobs N`); outcomes land by input index and the table is
- * rendered afterwards, byte-identical at any jobs level.
+ * The 20 simulations and the 20 model solves are independent, so they
+ * fan out over `--jobs N` workers (the simulations through the sweep
+ * runner); results land by input index and the table is rendered
+ * afterwards, byte-identical at any jobs level.
  */
 
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "common/bench_main.hh"
+#include "common/parallel/parallel.hh"
 #include "common/table.hh"
 #include "core/models/solution.hh"
 #include "sim/runner/bench_profile.hh"
@@ -43,8 +46,14 @@ main(int argc, char **argv)
                                             11400};
 
     std::vector<sim::Experiment> exps;
+    std::vector<std::function<NonlocalSolution()>> solves;
     for (int n = 1; n <= 4; ++n) {
         for (double x : compute_us) {
+            solves.push_back([n, x]() {
+                return solveNonlocalCustom(validationClientParams(),
+                                           validationServerParams(), n,
+                                           x, 2);
+            });
             sim::Experiment e;
             e.arch = Arch::II;
             e.local = false;
@@ -60,6 +69,8 @@ main(int argc, char **argv)
     const std::vector<sim::Outcome> outcomes =
         sim::runSweep(exps, bench::jobs());
     sim::writeBenchProfile(outcomes);
+    const std::vector<NonlocalSolution> models =
+        parallel::runAll<NonlocalSolution>(bench::jobs(), solves);
 
     TextTable t("Figure 6.15 - Model Validation (Arch II non-local, "
                 "2 hosts/node, extra copy): messages/sec");
@@ -68,12 +79,8 @@ main(int argc, char **argv)
     std::size_t cell = 0;
     for (int n = 1; n <= 4; ++n) {
         for (double x : compute_us) {
-            const NonlocalSolution m = solveNonlocalCustom(
-                validationClientParams(), validationServerParams(), n,
-                x, 2);
+            const double model = models[cell].throughputPerUs * 1e6;
             const sim::Outcome &o = outcomes[cell++];
-
-            const double model = m.throughputPerUs * 1e6;
             t.row({std::to_string(n), TextTable::num(x / 1000.0, 2),
                    TextTable::num(model, 1),
                    TextTable::num(o.throughputPerSec, 1),

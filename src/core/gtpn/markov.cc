@@ -1,6 +1,7 @@
 #include "core/gtpn/markov.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -12,7 +13,7 @@ namespace
 {
 
 // The solve's numerical method is fixed; none of it is a setting.
-constexpr double damping = 0.5;       //!< weight of the previous iterate
+constexpr double relaxation = 0.95;   //!< share of each update applied
 constexpr int checkInterval = 16;     //!< sweeps between residual checks
 constexpr int maxSweeps = 200000;     //!< reaching this cap is an error
 constexpr double maxResidual = 1e-10; //!< ||pi P - pi||_1 at convergence
@@ -23,7 +24,7 @@ void
 MarkovChain::resize(std::size_t n)
 {
     if (n > sojourns.size()) {
-        incoming.resize(n);
+        diag.resize(n, 0.0);
         sojourns.resize(n, 1.0);
         rowSums.resize(n, 0.0);
     }
@@ -33,8 +34,14 @@ void
 MarkovChain::addEdge(std::size_t from, std::size_t to, double prob)
 {
     hsipc_assert(prob >= 0.0 && prob <= 1.0 + 1e-12);
+    hsipc_assert(std::max(from, to) <
+                 std::numeric_limits<std::uint32_t>::max());
     resize(std::max(from, to) + 1);
-    incoming[to].push_back(Edge{from, prob});
+    if (from == to)
+        diag[to] += prob;
+    else
+        edges.push_back(Edge{static_cast<std::uint32_t>(from),
+                             static_cast<std::uint32_t>(to), prob});
     rowSums[from] += prob;
 }
 
@@ -57,24 +64,51 @@ MarkovChain::solve() const
                         " sums to " + std::to_string(rowSums[i]));
     }
 
+    // Incoming off-diagonal edges as CSR arrays, grouped by destination
+    // with a stable counting sort, so each inflow sum adds its terms in
+    // the order addEdge() saw them.
+    std::vector<std::size_t> start(n + 1, 0);
+    for (const Edge &e : edges)
+        ++start[e.to + 1];
+    for (std::size_t j = 0; j < n; ++j)
+        start[j + 1] += start[j];
+    std::vector<std::uint32_t> src(edges.size());
+    std::vector<double> prob(edges.size());
+    {
+        std::vector<std::size_t> next(start.begin(), start.end() - 1);
+        for (const Edge &e : edges) {
+            const std::size_t k = next[e.to]++;
+            src[k] = e.from;
+            prob[k] = e.prob;
+        }
+    }
+
     SolveResult res;
     std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    // (pi P)(j): the probability flowing into state j.
-    const auto inflow = [this, &pi](std::size_t j) {
+    // sum_{i != j} pi(i) p(i, j): the probability flowing into state j
+    // from other states.
+    const auto inflow = [&](std::size_t j) {
         double acc = 0.0;
-        for (const Edge &e : incoming[j])
-            acc += pi[e.src] * e.prob;
+        for (std::size_t k = start[j]; k < start[j + 1]; ++k)
+            acc += pi[src[k]] * prob[k];
         return acc;
     };
     double residual = 0.0;
     int sweep = 0;
     for (;;) {
-        // One damped Gauss-Seidel sweep: pi(j) is updated in place so
-        // later states see the freshest values, which markedly speeds
-        // convergence on the near-pipeline chains the GTPN produces.
+        // One Gauss-Seidel sweep with the self-loop solved exactly:
+        // pi(j) = inflow(j) + p(j, j) pi(j).  pi(j) is updated in place
+        // so later states see the freshest values, and under-relaxed so
+        // that a periodic chain cannot make the sweeps oscillate.  An
+        // absorbing state (p(j, j) = 1, the analyzer's deadlocks) has
+        // no such solution and keeps the power-iteration update.
         double sum = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
-            pi[j] = damping * pi[j] + (1.0 - damping) * inflow(j);
+            const double acc = inflow(j);
+            const double leave = 1.0 - diag[j];
+            pi[j] = leave > 0.0 ? (1.0 - relaxation) * pi[j] +
+                                      relaxation * (acc / leave)
+                                : pi[j] + acc;
             sum += pi[j];
         }
         hsipc_assert(sum > 0.0);
@@ -88,7 +122,7 @@ MarkovChain::solve() const
         // The exact L1 residual ||pi P - pi||_1 of the normalized iterate.
         residual = 0.0;
         for (std::size_t j = 0; j < n; ++j)
-            residual += std::abs(inflow(j) - pi[j]);
+            residual += std::abs(inflow(j) + diag[j] * pi[j] - pi[j]);
         if (residual <= maxResidual)
             break;
         if (sweep >= maxSweeps)

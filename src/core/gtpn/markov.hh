@@ -4,18 +4,27 @@
  * deterministic sojourn times (the chain embedded at GTPN state-change
  * instants).
  *
- * The solver runs damped Gauss-Seidel sweeps of x <- xP over a sparse
- * incoming-edge representation; damping removes periodicity (the
- * thesis' nets are strongly periodic because every timed transition
- * takes exactly one time unit).  It has no tuning parameters: it stops
- * once the exact residual ||pi P - pi||_1 is at most 1e-10, and a
- * chain that does not get there within the sweep cap is a hard error.
+ * The solver runs Gauss-Seidel sweeps of the splitting
+ * pi_j <- sum_{i != j} pi_i p_ij / (1 - p_jj) (Stewart 1994, ch. 3):
+ * each self-loop is solved exactly rather than iterated, so a state
+ * that mostly stays put costs one update, not thousands.  Updates are
+ * in place, so later states see the freshest values.  In-place updates
+ * alone do not cure periodicity: on a periodic chain whose states are
+ * numbered against the flow, plain sweeps can oscillate for ever.  So
+ * each update moves pi_j a fixed 0.95 of the way to its new value.
+ * That under-relaxation gives the sweep's iteration matrix a positive
+ * diagonal, so on an irreducible chain 1 is its only eigenvalue of
+ * modulus one and the sweeps converge in any state order.  The solver
+ * has no tuning parameters: it stops once the exact residual
+ * ||pi P - pi||_1 is at most 1e-10, and a chain that does not get
+ * there within the sweep cap is a hard error.
  */
 
 #ifndef HSIPC_GTPN_MARKOV_HH
 #define HSIPC_GTPN_MARKOV_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace hsipc::gtpn
@@ -59,14 +68,16 @@ class MarkovChain
     SolveResult solve() const;
 
   private:
+    /** An off-diagonal edge, kept in the order addEdge() saw it. */
     struct Edge
     {
-        std::size_t src;
+        std::uint32_t from;
+        std::uint32_t to;
         double prob;
     };
 
-    /** Incoming edges per destination state. */
-    std::vector<std::vector<Edge>> incoming;
+    std::vector<Edge> edges;
+    std::vector<double> diag; //!< self-loop probability p_jj per state
     std::vector<double> sojourns;
     std::vector<double> rowSums;
 };

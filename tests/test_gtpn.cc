@@ -639,26 +639,36 @@ TEST(Simulator, DeterministicForFixedSeed)
 
 TEST(Analyzer, UnconvergedSolvePanics)
 {
-    // The GTPN form of a two-state chain that leaves each state with
-    // probability 1e-6 or 2e-6 per unit: its Markov solve cannot reach
-    // the residual bound within the sweep cap, so analyze() must panic
-    // rather than return estimates.
-    const double e = 1e-6;
+    // The GTPN form of a nearly decomposable chain: two 3-place rings
+    // A0 -> A1 -> A2 -> A0 and B0 -> B1 -> B2 -> B0 share one token,
+    // which crosses between them only through the low-frequency
+    // transitions goB (1e-7) and goA (3e-7).  Its Markov solve cannot
+    // reach the residual bound within the sweep cap, so analyze() must
+    // panic rather than return estimates.
+    const double e = 1e-7;
     PetriNet net;
-    const PlaceId a = net.addPlace("A", 1);
-    const PlaceId b = net.addPlace("B");
+    const PlaceId a0 = net.addPlace("A0", 1);
+    const PlaceId a1 = net.addPlace("A1");
+    const PlaceId a2 = net.addPlace("A2");
+    const PlaceId b0 = net.addPlace("B0");
+    const PlaceId b1 = net.addPlace("B1");
+    const PlaceId b2 = net.addPlace("B2");
     const auto arc = [&net](const char *name, double freq, PlaceId from,
                             PlaceId to) {
         const TransId t = net.addTransition(name, 1.0, freq);
         net.inputArc(from, t);
         net.outputArc(t, to);
     };
-    arc("stayA", 1.0 - e, a, a);
-    arc("goB", e, a, b);
-    arc("stayB", 1.0 - 2.0 * e, b, b);
-    arc("goA", 2.0 * e, b, a);
+    arc("a01", 1.0 - e, a0, a1);
+    arc("a12", 1.0, a1, a2);
+    arc("a20", 1.0, a2, a0);
+    arc("goB", e, a0, b0);
+    arc("b01", 1.0 - 3.0 * e, b0, b1);
+    arc("b12", 1.0, b1, b2);
+    arc("b20", 1.0, b2, b0);
+    arc("goA", 3.0 * e, b0, a0);
     EXPECT_DEATH(analyze(net), "did not converge: residual .* after "
-                               "200000 sweeps over 4 states");
+                               "200000 sweeps over 8 states");
 }
 
 } // namespace
